@@ -102,7 +102,7 @@ void RunStar() {
     double build_ms =
         TimeBest([&] { reach::ReachIndex::Build(base, Exec(1)); }) * 1e3;
     auto idx = reach::ReachIndex::Build(base, Exec(1));
-    TripleSet want = StarReachAnyPath(base, Exec(1));
+    TripleSet want = StarReachAnyPath(base, Exec(1)).value();
     // Warm the memoized closures once so the timed runs measure steady
     // state (the cached-index regime the planner routes to).
     auto warm = idx->EmitStar(base, Exec(1), SIZE_MAX);

@@ -83,9 +83,23 @@ Result<TripleSet> MaterializeUniverse(const TripleStore& store,
 /// `strategy_out`, when non-null, receives the route actually taken —
 /// "index" (range probe), "scan" (linear filter) or "empty"
 /// (contradictory constants) — for the plan executor's EXPLAIN output.
+/// The index route materializes the probed permutation with `exec`
+/// first, so a cold build of a large relation runs in parallel.
 TripleSet SelectIndexed(const TripleSet& in, const CondSet& cond,
                         const TripleStore& store,
-                        const char** strategy_out = nullptr);
+                        const char** strategy_out = nullptr,
+                        const ExecOptions& exec = {});
+
+/// The result set of a kernel that emitted `runs` (per-chunk output
+/// buffers, unsorted, possibly overlapping).  A large result
+/// (exec.ShouldParallelize of its size) is sorted and deduped here by
+/// the parallel SortUnique, and that time is recorded as
+/// exec.materialize_ns; a smaller one is concatenated and left to the
+/// set's lazy serial normalize, as a single-threaded kernel leaves it.
+TripleSet KernelResult(std::vector<std::vector<Triple>> runs,
+                       const ExecOptions& exec);
+/// KernelResult of a single output buffer.
+TripleSet KernelResult(std::vector<Triple> out, const ExecOptions& exec);
 
 /// π_{1,3}: the pairs (s, o) of a triple set, as triples (s, s, o) are
 /// NOT produced — this is the API-edge projection used when comparing

@@ -2,6 +2,8 @@
 #include <vector>
 
 #include "core/eval.h"
+#include "storage/triple_sort.h"
+#include "util/metrics.h"
 
 namespace trial {
 
@@ -69,8 +71,8 @@ std::vector<ObjId> ActiveObjects(const TripleStore& store) {
 }
 
 TripleSet SelectIndexed(const TripleSet& in, const CondSet& cond,
-                        const TripleStore& store,
-                        const char** strategy_out) {
+                        const TripleStore& store, const char** strategy_out,
+                        const ExecOptions& exec) {
   const char* strategy = "scan";
   if (strategy_out != nullptr) *strategy_out = strategy;
   // Columns pinned to a constant by an equality atom.  Two different
@@ -109,7 +111,10 @@ TripleSet SelectIndexed(const TripleSet& in, const CondSet& cond,
   AccessPath path = PlanAccess(bind[0], bind[1], bind[2]);
   if (a < 0 || !in.IndexAmortized(path.order)) {
     for (const Triple& t : in) emit(t);
-  } else if (b < 0) {
+    return out;
+  }
+  in.Materialize(path.order, exec);
+  if (b < 0) {
     if (strategy_out != nullptr) *strategy_out = "index";
     for (const Triple& t : in.Lookup(a, val[a])) emit(t);
   } else {
@@ -119,6 +124,31 @@ TripleSet SelectIndexed(const TripleSet& in, const CondSet& cond,
     for (const Triple& t : in.LookupPair(a, val[a], b, val[b])) emit(t);
   }
   return out;
+}
+
+TripleSet KernelResult(std::vector<std::vector<Triple>> runs,
+                       const ExecOptions& exec) {
+  size_t total = 0;
+  for (const std::vector<Triple>& r : runs) total += r.size();
+  if (!exec.ShouldParallelize(total)) {
+    return TripleSet(Concatenate(std::move(runs)));
+  }
+  const bool metrics = MetricsEnabled();
+  const uint64_t t0 = metrics ? MonotonicNanos() : 0;
+  TripleSet out = TripleSet::FromSortedUnique(
+      SortUnique(IndexOrder::kSPO, std::move(runs), exec));
+  if (metrics) {
+    MetricsRegistry::Global()
+        .GetHistogram("exec.materialize_ns")
+        ->Observe(MonotonicNanos() - t0);
+  }
+  return out;
+}
+
+TripleSet KernelResult(std::vector<Triple> out, const ExecOptions& exec) {
+  std::vector<std::vector<Triple>> runs(1);
+  runs[0] = std::move(out);
+  return KernelResult(std::move(runs), exec);
 }
 
 std::vector<std::pair<ObjId, ObjId>> ProjectSO(const TripleSet& set) {

@@ -1,9 +1,11 @@
 #include "core/fast_reach.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "core/eval.h"
 #include "core/reach/graph.h"
 #include "util/parallel.h"
 
@@ -56,7 +58,10 @@ struct GroupScratch : MarkScratch {
 
 }  // namespace
 
-TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec) {
+Result<TripleSet> StarReachAnyPath(const TripleSet& base,
+                                   const ExecOptions& exec,
+                                   size_t max_result_triples) {
+  base.Materialize(IndexOrder::kOSP, exec);  // sources come off OSP
   const std::vector<Triple>& spo = base.triples();
   if (spo.empty()) return TripleSet();
   NodeMap ids(base);
@@ -84,11 +89,18 @@ TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec) {
   }
 
   // Per-source reflexive-transitive closure.  Each source writes only
-  // its own reach slot, so source chunks expand concurrently.
+  // its own reach slot, so source chunks expand concurrently.  Every
+  // source is the object of some base triple, so each reach set is
+  // emitted at least once: once their total passes the guard, the
+  // emission would too, and the remaining sources are skipped.
   std::vector<std::vector<ObjId>> reach(sources.size());
+  std::atomic<size_t> reached{0};
   auto expand_chunk = [&](size_t begin, size_t end) {
     MarkScratch scratch(ids.size());
     for (size_t si = begin; si < end; ++si) {
+      if (reached.load(std::memory_order_relaxed) > max_result_triples) {
+        return;
+      }
       uint32_t stamp = static_cast<uint32_t>(si - begin);
       uint32_t src = ids.Dense(sources[si]);
       std::vector<ObjId>& rs = reach[si];
@@ -107,6 +119,7 @@ TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec) {
           }
         }
       }
+      reached.fetch_add(rs.size(), std::memory_order_relaxed);
     }
   };
   size_t threads = exec.EffectiveThreads();
@@ -122,30 +135,48 @@ TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec) {
   }
 
   // Emission: (s, p, l) for every base triple and every l reachable
-  // from its object.
-  if (exec.ShouldParallelize(spo.size())) {
-    std::vector<Triple> merged = ParallelChunkedCollect<Triple>(
-        spo.size(), threads,
-        [&](size_t, size_t begin, size_t end, std::vector<Triple>* out) {
-          for (size_t i = begin; i < end; ++i) {
-            const Triple& t = spo[i];
-            for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
-              out->push_back(Triple{t.s, t.p, l});
-            }
-          }
-        });
-    return TripleSet(std::move(merged));
-  }
-  TripleSet out;
-  for (const Triple& t : spo) {
-    for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
-      out.Insert(t.s, t.p, l);
+  // from its object.  A chunk counts its rows before emitting any: the
+  // shared total ends at the full count whatever the scheduling, and no
+  // chunk emits once the total has passed the guard.
+  std::atomic<size_t> rows{0};
+  auto emit = [&](size_t, size_t begin, size_t end,
+                  std::vector<Triple>* out) {
+    size_t n = 0;
+    for (size_t i = begin; i < end; ++i) {
+      n += reach[slot_of[ids.Dense(spo[i].o)]].size();
+    }
+    if (rows.fetch_add(n, std::memory_order_relaxed) + n >
+        max_result_triples) {
+      return;
+    }
+    out->reserve(n);
+    for (size_t i = begin; i < end; ++i) {
+      const Triple& t = spo[i];
+      for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
+        out->push_back(Triple{t.s, t.p, l});
+      }
+    }
+  };
+  std::vector<std::vector<Triple>> runs;
+  if (reached.load() <= max_result_triples) {
+    if (exec.ShouldParallelize(spo.size())) {
+      runs = ParallelChunkedRuns<Triple>(spo.size(), threads, emit);
+    } else {
+      runs.resize(1);
+      emit(0, 0, spo.size(), &runs[0]);
     }
   }
-  return out;
+  if (reached.load() > max_result_triples ||
+      rows.load() > max_result_triples) {
+    return Status::ResourceExhausted("star result too large");
+  }
+  return KernelResult(std::move(runs), exec);
 }
 
-TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
+Result<TripleSet> StarReachSameMiddle(const TripleSet& base,
+                                     const ExecOptions& exec,
+                                     size_t max_result_triples) {
+  base.Materialize(IndexOrder::kPOS, exec);
   TripleRange pos = base.Scan(IndexOrder::kPOS);  // sorted (p, o, s)
   if (pos.empty()) return TripleSet();
   base.triples();  // the group DFS probes SPO prefixes: materialize
@@ -164,13 +195,16 @@ TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
   // Processes groups [gbegin, gend), appending output triples in group
   // order.  Chunk-local scratch: `si` stamps stay distinct across the
   // chunk's groups, so slot entries from earlier groups are ignored via
-  // the generation guard instead of a per-group clear.
+  // the generation guard instead of a per-group clear.  A group counts
+  // its rows into the shared total before emitting, as in Procedure 3.
+  std::atomic<size_t> rows{0};
   auto process_groups = [&](size_t gbegin, size_t gend,
                             std::vector<Triple>* out) {
     GroupScratch scratch(ids.size());
     uint32_t next_si = 0;
     std::vector<std::vector<ObjId>> reach;
     for (size_t g = gbegin; g < gend; ++g) {
+      if (rows.load(std::memory_order_relaxed) > max_result_triples) return;
       const Triple* gb = groups[g].begin();
       const Triple* ge = groups[g].end();
       ObjId mid = gb->p;
@@ -203,6 +237,14 @@ TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
           }
         }
       }
+      size_t n = 0;
+      for (const Triple* t = gb; t != ge; ++t) {
+        n += reach[scratch.slot[ids.Dense(t->o)]].size();
+      }
+      if (rows.fetch_add(n, std::memory_order_relaxed) + n >
+          max_result_triples) {
+        return;
+      }
       for (const Triple* t = gb; t != ge; ++t) {
         for (ObjId l : reach[scratch.slot[ids.Dense(t->o)]]) {
           out->push_back(Triple{t->s, mid, l});
@@ -211,17 +253,21 @@ TripleSet StarReachSameMiddle(const TripleSet& base, const ExecOptions& exec) {
     }
   };
 
+  std::vector<std::vector<Triple>> runs;
   if (exec.ShouldParallelize(pos.size()) && groups.size() > 1) {
-    std::vector<Triple> merged = ParallelChunkedCollect<Triple>(
+    runs = ParallelChunkedRuns<Triple>(
         groups.size(), exec.EffectiveThreads(),
         [&](size_t, size_t begin, size_t end, std::vector<Triple>* out) {
           process_groups(begin, end, out);
         });
-    return TripleSet(std::move(merged));
+  } else {
+    runs.resize(1);
+    process_groups(0, groups.size(), &runs[0]);
   }
-  std::vector<Triple> out;
-  process_groups(0, groups.size(), &out);
-  return TripleSet(std::move(out));
+  if (rows.load() > max_result_triples) {
+    return Status::ResourceExhausted("star result too large");
+  }
+  return KernelResult(std::move(runs), exec);
 }
 
 }  // namespace trial

@@ -8,7 +8,10 @@
 #ifndef TRIAL_CORE_FAST_REACH_H_
 #define TRIAL_CORE_FAST_REACH_H_
 
+#include <cstdint>
+
 #include "storage/triple_set.h"
+#include "util/status.h"
 #include "util/parallel.h"
 
 namespace trial {
@@ -20,15 +23,24 @@ namespace trial {
 ///
 /// With exec.num_threads > 1 the per-source frontier expansions (every
 /// source's DFS is independent) and the output emission run on the
-/// thread pool in deterministic chunks; results are identical to the
-/// serial path for any thread count.
-TripleSet StarReachAnyPath(const TripleSet& base, const ExecOptions& exec = {});
+/// thread pool in deterministic chunks, and a large output is sorted by
+/// the parallel KernelResult; results are identical to the serial path
+/// for any thread count.
+///
+/// kResourceExhausted when more than `max_result_triples` rows would be
+/// emitted.  Like the join probe loop's guard, it counts rows before
+/// dedup, so success or failure never depends on the thread count.
+Result<TripleSet> StarReachAnyPath(
+    const TripleSet& base, const ExecOptions& exec = {},
+    size_t max_result_triples = SIZE_MAX);
 
 /// (R ⋈^{1,2,3'}_{3=1',2=2'})* — Procedure 4, sparse: same computation
 /// restricted to the subgraph of triples sharing each middle element.
-/// Parallelism is per middle group (groups are independent).
-TripleSet StarReachSameMiddle(const TripleSet& base,
-                              const ExecOptions& exec = {});
+/// Parallelism is per middle group (groups are independent).  The
+/// result-size guard is StarReachAnyPath's.
+Result<TripleSet> StarReachSameMiddle(
+    const TripleSet& base, const ExecOptions& exec = {},
+    size_t max_result_triples = SIZE_MAX);
 
 }  // namespace trial
 

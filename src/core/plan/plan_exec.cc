@@ -139,7 +139,8 @@ class Executor {
       case PlanOp::kSelectFilter: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet in, Exec(*n.children[0]));
         NoteRows(*n.children[0], in);
-        return SelectIndexed(in, n.spec.cond, store_, &n.runtime.strategy);
+        return SelectIndexed(in, n.spec.cond, store_, &n.runtime.strategy,
+                             limits_.exec);
       }
       case PlanOp::kUnionOp: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
@@ -180,8 +181,10 @@ class Executor {
         n.runtime.strategy = n.reach_same_middle ? "procedure-4"
                                                  : "procedure-3";
         return n.reach_same_middle
-                   ? StarReachSameMiddle(base, limits_.exec)
-                   : StarReachAnyPath(base, limits_.exec);
+                   ? StarReachSameMiddle(base, limits_.exec,
+                                         limits_.max_result_triples)
+                   : StarReachAnyPath(base, limits_.exec,
+                                      limits_.max_result_triples);
       }
       case PlanOp::kFixpointStar: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
@@ -254,7 +257,7 @@ class Executor {
       n.runtime.strategy = "probe";
       // Materialize the probed permutation before concurrent probes:
       // the lazy index build is single-writer.
-      r.Materialize(probe.Order());
+      r.Materialize(probe.Order(), limits_.exec);
       return ProbeLoop(l, plan,
                        [&](const Triple& a, std::vector<Triple>* out) {
                          for (const Triple& b : probe.Probe(r, a)) {
@@ -320,8 +323,9 @@ class Executor {
   // API); each slice binary-searches its first key into the right run
   // once, then advances a private cursor monotonically.  Every left
   // triple sees exactly the candidates the serial walk would hand it,
-  // and slice buffers merge in slice order, so the output is identical
-  // for any thread count.  The result-size guard mirrors ProbeLoop.
+  // and the slice buffers are sorted into one sorted-unique result, so
+  // the output is identical for any thread count.  The result-size
+  // guard mirrors ProbeLoop.
   Result<TripleSet> MergeLoop(PlanNode& n, const TripleSet& l,
                               const TripleSet& r, const JoinPlan& plan) {
     const JoinSpec& spec = n.spec;
@@ -330,8 +334,8 @@ class Executor {
     const IndexOrder rorder = static_cast<IndexOrder>(rc);
     // Lazy permutation builds are single-writer: materialize both runs
     // before any concurrent reads.
-    l.Materialize(lorder);
-    r.Materialize(rorder);
+    l.Materialize(lorder, limits_.exec);
+    r.Materialize(rorder, limits_.exec);
     TripleRange run = r.Scan(rorder);
     // `match` walks one left slice.  Returns false when the overflow
     // flag tripped (parallel only; serial passes a guard that errors).
@@ -404,12 +408,7 @@ class Executor {
       if (overflow.load() || total > limits_.max_result_triples) {
         return Status::ResourceExhausted("join result too large");
       }
-      std::vector<Triple> merged;
-      merged.reserve(total);
-      for (std::vector<Triple>& b : bufs) {
-        merged.insert(merged.end(), b.begin(), b.end());
-      }
-      return TripleSet(std::move(merged));
+      return KernelResult(std::move(bufs), limits_.exec);
     }
     std::vector<Triple> out;
     bool fits = true;
@@ -420,19 +419,19 @@ class Executor {
     if (!fits || out.size() > limits_.max_result_triples) {
       return Status::ResourceExhausted("join result too large");
     }
-    return TripleSet(std::move(out));
+    return KernelResult(std::move(out), limits_.exec);
   }
 
   // The join probe loop: applies `match` (which appends verified output
   // triples) to every left triple passing the one-sided filters.
   // Parallel when the exec knobs allow: the left side is consumed
   // through TripleSet's partition API — contiguous SPO slices, one
-  // private buffer each — and buffers merge in slice order, so the
-  // result is identical for any thread count (and the final TripleSet
-  // normalizes to sorted-unique regardless).  The result-size guard
-  // counts emitted candidates exactly like the serial loop; slices
-  // flush their counts every kGuardStride outputs and abort the
-  // remaining work once the limit trips.
+  // private buffer each — and the buffers are sorted into one
+  // sorted-unique result (KernelResult), so the result is identical for
+  // any thread count.  The result-size guard counts emitted candidates
+  // exactly like the serial loop; slices flush their counts every
+  // kGuardStride outputs and abort the remaining work once the limit
+  // trips.
   template <typename Match>
   Result<TripleSet> ProbeLoop(const TripleSet& l, const JoinPlan& plan,
                               const Match& match) {
@@ -468,12 +467,7 @@ class Executor {
       if (overflow.load() || total > limits_.max_result_triples) {
         return Status::ResourceExhausted("join result too large");
       }
-      std::vector<Triple> merged;
-      merged.reserve(total);
-      for (std::vector<Triple>& b : bufs) {
-        merged.insert(merged.end(), b.begin(), b.end());
-      }
-      return TripleSet(std::move(merged));
+      return KernelResult(std::move(bufs), limits_.exec);
     }
     std::vector<Triple> merged;
     for (const Triple& a : l.triples()) {
@@ -483,7 +477,7 @@ class Executor {
         return Status::ResourceExhausted("join result too large");
       }
     }
-    return TripleSet(std::move(merged));
+    return KernelResult(std::move(merged), limits_.exec);
   }
 
   // Semi-naive fixpoint: only the last round's delta re-joins the fixed
@@ -593,6 +587,7 @@ class Executor {
       } else {
         ++n.runtime.hash_rounds;
       }
+      if (use_probe) base.Materialize(probe.Order(), limits_.exec);
       if (limits_.exec.ShouldParallelize(delta.size())) {
         // Parallel delta expansion in bounded segments: each segment's
         // candidates are generated in parallel (chunk buffers merged in
@@ -601,7 +596,6 @@ class Executor {
         // segment starts.  Memory stays ~ one segment's match count,
         // and the only guard is the serial one — accumulator growth —
         // so success/failure is identical for every thread count.
-        if (use_probe) base.Materialize(probe.Order());
         size_t segment = std::max(limits_.exec.min_parallel_items,
                                   static_cast<size_t>(64 * 1024));
         for (size_t sb = 0; sb < delta.size(); sb += segment) {
@@ -636,7 +630,8 @@ class Executor {
       }
       if (next.empty()) {
         std::vector<Triple> v(acc.begin(), acc.end());
-        return TripleSet(std::move(v));
+        TripleHashSet().swap(acc);  // the sort's 2N peak excludes acc
+        return KernelResult(std::move(v), limits_.exec);
       }
       delta.swap(next);
     }

@@ -3,6 +3,7 @@
 #ifndef TRIAL_STORAGE_TRIPLE_H_
 #define TRIAL_STORAGE_TRIPLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <tuple>
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "storage/segment/segment_source.h"
+#include "storage/triple_sort.h"
+#include "util/metrics.h"
 
 namespace trial {
 namespace {
@@ -54,25 +56,22 @@ AccessPath PlanAccess(bool bind_s, bool bind_p, bool bind_o) {
 }
 
 const std::vector<Triple>& TripleIndexCache::Permutation(
-    const std::vector<Triple>& spo, IndexOrder order) {
-  if (order == IndexOrder::kPOS) {
-    if (!pos_built) {
-      pos = spo;
-      std::sort(pos.begin(), pos.end(), [](const Triple& a, const Triple& b) {
-        return IndexLess(IndexOrder::kPOS, a, b);
-      });
-      pos_built = true;
+    const std::vector<Triple>& spo, IndexOrder order, const ExecOptions& exec) {
+  std::vector<Triple>& perm = order == IndexOrder::kPOS ? pos : osp;
+  bool& built = order == IndexOrder::kPOS ? pos_built : osp_built;
+  if (!built) {
+    const bool metrics = MetricsEnabled();
+    const uint64_t t0 = metrics ? MonotonicNanos() : 0;
+    perm = SortedCopy(order, spo, exec);
+    built = true;
+    if (metrics) {
+      MetricsRegistry& reg = MetricsRegistry::Global();
+      reg.GetCounter("index.permutation_builds")->Increment();
+      reg.GetHistogram("index.permutation_build_ns")
+          ->Observe(MonotonicNanos() - t0);
     }
-    return pos;
   }
-  if (!osp_built) {
-    osp = spo;
-    std::sort(osp.begin(), osp.end(), [](const Triple& a, const Triple& b) {
-      return IndexLess(IndexOrder::kOSP, a, b);
-    });
-    osp_built = true;
-  }
-  return osp;
+  return perm;
 }
 
 const std::vector<Triple>& TripleIndexCache::SegmentPermutation(

@@ -11,7 +11,8 @@
 //   bound {p}         -> POS prefix      bound {p, o} -> POS prefix
 //   bound {o}         -> OSP prefix      bound {o, s} -> OSP prefix
 //
-// Permutations are built lazily on first lookup (O(n log n) copy+sort)
+// Permutations are built lazily on first lookup (an O(n log n)
+// SortedCopy, parallel when the caller's ExecOptions say the size pays)
 // and cached.  The cache cell is *shared between copies* of a TripleSet:
 // evaluators routinely copy base relations out of the store, and sharing
 // means the first probe through any copy also warms the store's relation
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "storage/triple.h"
+#include "util/parallel.h"
 
 namespace trial {
 
@@ -149,8 +151,10 @@ struct TripleIndexCache {
 
   /// The permutation of `spo` for `order`, building it on first use
   /// (`order` must be kPOS or kOSP; kSPO is the base vector itself).
+  /// The build is SortedCopy: parallel when `exec` says the size pays.
   const std::vector<Triple>& Permutation(const std::vector<Triple>& spo,
-                                         IndexOrder order);
+                                         IndexOrder order,
+                                         const ExecOptions& exec = {});
 
   /// Snapshot-backed variant: the permutation decoded straight from
   /// `src`'s compressed segment for `order` — O(n), no sort, the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "storage/triple_sort.h"
 #include "util/parallel.h"
 
 namespace trial {
@@ -40,20 +41,25 @@ void TripleSet::Promote() const {
   source_.reset();
 }
 
-void TripleSet::Normalize() const {
+void TripleSet::Normalize(const ExecOptions& exec) const {
   if (staged_.empty()) return;
   if (source_ != nullptr) Promote();
   // Sort only the staged batch and merge it into the already-sorted
   // body: O(n + k log k) per batch instead of O((n+k) log (n+k)).
-  std::sort(staged_.begin(), staged_.end());
-  staged_.erase(std::unique(staged_.begin(), staged_.end()), staged_.end());
-  size_t mid = triples_.size();
-  triples_.insert(triples_.end(), staged_.begin(), staged_.end());
-  staged_.clear();
-  std::inplace_merge(triples_.begin(), triples_.begin() + mid,
-                     triples_.end());
-  triples_.erase(std::unique(triples_.begin(), triples_.end()),
-                 triples_.end());
+  std::vector<std::vector<Triple>> runs(1);
+  runs[0].swap(staged_);  // releases the staged buffer with the batch
+  std::vector<Triple> batch =
+      SortUnique(IndexOrder::kSPO, std::move(runs), exec);
+  if (triples_.empty()) {
+    triples_.swap(batch);
+  } else {
+    size_t mid = triples_.size();
+    triples_.insert(triples_.end(), batch.begin(), batch.end());
+    std::inplace_merge(triples_.begin(), triples_.begin() + mid,
+                       triples_.end());
+    triples_.erase(std::unique(triples_.begin(), triples_.end()),
+                   triples_.end());
+  }
   // The contents changed: detach onto a fresh cache cell rather than
   // clearing the shared one, which other copies may still be using.
   cache_ = std::make_shared<TripleIndexCache>();
@@ -64,12 +70,13 @@ bool TripleSet::Contains(const Triple& t) const {
   return std::binary_search(v.begin(), v.end(), t);
 }
 
-const std::vector<Triple>& TripleSet::OrderVector(IndexOrder order) const {
-  Normalize();
+const std::vector<Triple>& TripleSet::OrderVector(
+    IndexOrder order, const ExecOptions& exec) const {
+  Normalize(exec);
   if (cache_ == nullptr) cache_ = std::make_shared<TripleIndexCache>();
   if (source_ != nullptr) return cache_->SegmentPermutation(*source_, order);
   if (order == IndexOrder::kSPO) return triples_;
-  return cache_->Permutation(triples_, order);
+  return cache_->Permutation(triples_, order, exec);
 }
 
 TripleRange TripleSet::Lookup(int column, ObjId v) const {

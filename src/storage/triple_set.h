@@ -130,7 +130,12 @@ class TripleSet {
   /// touch no lazily-mutated state.  Parallel kernels call this before
   /// handing the set to concurrent workers: the lazy builds are
   /// single-writer, concurrent reads after materialization are safe.
-  void Materialize(IndexOrder order) const { OrderVector(order); }
+  /// Both the staged-batch sort and the permutation build go through
+  /// SortUnique / SortedCopy, so they run on the pool when `exec` says
+  /// the size pays.
+  void Materialize(IndexOrder order, const ExecOptions& exec = {}) const {
+    OrderVector(order, exec);
+  }
 
   /// True when `order` can be probed without a build (already built, or
   /// the SPO base).  Pending staged inserts make every order not-ready;
@@ -224,7 +229,10 @@ class TripleSet {
   bool operator!=(const TripleSet& o) const { return !(*this == o); }
 
  private:
-  void Normalize() const;
+  /// Folds staged_ into triples_: sorts and dedups the batch (in place
+  /// when serial) and adopts it when the body is empty, else merges it
+  /// in.  The staged buffer is released either way.
+  void Normalize(const ExecOptions& exec = {}) const;
   /// Copy-on-write promotion: materializes triples_ from the snapshot
   /// (cache copy or fresh decode) and drops the source.  Any decode
   /// failure is captured into decode_error_ so SnapshotHealth() keeps
@@ -232,7 +240,8 @@ class TripleSet {
   void Promote() const;
   /// The permutation vector backing `order` (triples_ for SPO, or the
   /// shared cache's segment decode for snapshot-backed sets).
-  const std::vector<Triple>& OrderVector(IndexOrder order) const;
+  const std::vector<Triple>& OrderVector(IndexOrder order,
+                                         const ExecOptions& exec = {}) const;
 
   mutable std::vector<Triple> triples_;  // sorted, unique
   mutable std::vector<Triple> staged_;   // pending inserts

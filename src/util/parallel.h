@@ -128,19 +128,27 @@ void ParallelFor(size_t num_chunks, size_t threads,
 /// without hurting determinism.
 inline constexpr size_t kChunksPerThread = 4;
 
-/// The canonical parallel-map shape: splits [0, n) into even chunks,
+/// The canonical parallel-map shape: splits [0, n) into even chunks and
 /// runs body(chunk_index, begin, end, &buffer) with a private output
-/// buffer per chunk, and concatenates the buffers in chunk order — the
-/// deterministic in-order merge the kernels rely on.
+/// buffer per chunk.  Returns the buffers in chunk order.
 template <typename T, typename Body>
-std::vector<T> ParallelChunkedCollect(size_t n, size_t threads,
-                                      const Body& body) {
+std::vector<std::vector<T>> ParallelChunkedRuns(size_t n, size_t threads,
+                                                const Body& body) {
   std::vector<ChunkRange> chunks =
       SplitEven(n, threads > 1 ? threads * kChunksPerThread : 1);
   std::vector<std::vector<T>> parts(chunks.size());
   ParallelFor(chunks.size(), threads, [&](size_t c) {
     body(c, chunks[c].begin, chunks[c].end, &parts[c]);
   });
+  return parts;
+}
+
+/// ParallelChunkedRuns with the buffers concatenated in chunk order —
+/// the deterministic in-order merge the kernels rely on.
+template <typename T, typename Body>
+std::vector<T> ParallelChunkedCollect(size_t n, size_t threads,
+                                      const Body& body) {
+  std::vector<std::vector<T>> parts = ParallelChunkedRuns<T>(n, threads, body);
   size_t total = 0;
   for (const std::vector<T>& p : parts) total += p.size();
   std::vector<T> out;

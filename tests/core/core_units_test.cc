@@ -143,7 +143,7 @@ TEST(FastReach, MatchesDefinitionOnExampleThree) {
   const TripleSet& base = *store.FindRelation("E");
   // (E ⋈^{1,2,3'}_{3=1'})*: the projected edge graph is a->c, c->e,
   // d->f, so the only derivable triple is (a,b,e); e has no out-edge.
-  TripleSet any = StarReachAnyPath(base);
+  TripleSet any = StarReachAnyPath(base).value();
   ObjId a = store.FindObject("a"), b = store.FindObject("b");
   EXPECT_TRUE(any.Contains(Triple{a, b, store.FindObject("e")}));
   EXPECT_FALSE(any.Contains(Triple{a, b, store.FindObject("f")}));
@@ -155,7 +155,7 @@ TEST(FastReach, MatchesDefinitionOnExampleThree) {
   EXPECT_EQ(any, *generic);
 
   // Same-middle closure: no two triples share a middle here.
-  TripleSet same = StarReachSameMiddle(base);
+  TripleSet same = StarReachSameMiddle(base).value();
   EXPECT_EQ(same, base);
 }
 

@@ -9,6 +9,7 @@
 #include "core/eval.h"
 #include "core/fast_reach.h"
 #include "core/optimizer.h"
+#include "core/parser.h"
 #include "core/plan/plan.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -215,6 +216,39 @@ TEST(ParallelInvariance, PlanExecutorResultsAreThreadCountInvariant) {
   }
 }
 
+// SP2Bench-shaped joins (the chain of Q4 and the cycle of Q8, as in the
+// end-to-end benchmark's hop2 and triangle) on a Zipf store big enough
+// that their outputs take the parallel sorted materialization at the
+// stock min_parallel_items (hop2 has about 39K rows, the triangle 6):
+// 4 threads must match 1 thread and the naive nested-loop oracle.
+TEST(ParallelInvariance, LargeJoinOutputsAreThreadCountInvariant) {
+  RandomStoreOptions opts;
+  opts.num_objects = 20000;
+  opts.num_triples = 20000;
+  opts.zipf_p = 1.2;
+  opts.zipf_s = 0.45;
+  opts.zipf_o = 0.45;
+  opts.seed = 310;
+  TripleStore store = RandomTripleStore(opts);
+  auto naive = MakeNaiveEvaluator();
+  for (const char* text :
+       {"(E JOIN[1,2,3'; 3=1'] E)",
+        "((E JOIN[1,2,3'; 3=1'] E) JOIN[1,2,3; 3=1', 1=3'] E)"}) {
+    Result<ExprPtr> e = ParseTriAL(text, &store);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    Result<TripleSet> want = naive->Eval(*e, store);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (size_t threads : std::vector<size_t>{1, 4}) {
+      ExecLimits limits;
+      limits.exec.num_threads = threads;
+      plan::PlanPtr p = plan::PlanExpr(*e, store);
+      Result<TripleSet> got = plan::ExecutePlan(*p, store, limits);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want) << text << " at " << threads << " threads";
+    }
+  }
+}
+
 // The reachTA= fast paths under explicit thread counts, on a store big
 // enough that the parallel source-expansion branch does real chunking.
 TEST(ParallelInvariance, ReachFastPathsAreThreadCountInvariant) {
@@ -226,14 +260,16 @@ TEST(ParallelInvariance, ReachFastPathsAreThreadCountInvariant) {
   TripleStore store = RandomTripleStore(opts);
   const TripleSet& base = *store.FindRelation("E");
   ExecOptions serial;
-  TripleSet any1 = StarReachAnyPath(base, serial);
-  TripleSet mid1 = StarReachSameMiddle(base, serial);
+  TripleSet any1 = StarReachAnyPath(base, serial).value();
+  TripleSet mid1 = StarReachSameMiddle(base, serial).value();
   for (size_t threads : std::vector<size_t>{2, 4}) {
     ExecOptions exec;
     exec.num_threads = threads;
     exec.min_parallel_items = 1;
-    EXPECT_EQ(StarReachAnyPath(base, exec), any1) << threads << " threads";
-    EXPECT_EQ(StarReachSameMiddle(base, exec), mid1) << threads << " threads";
+    EXPECT_EQ(StarReachAnyPath(base, exec).value(), any1)
+        << threads << " threads";
+    EXPECT_EQ(StarReachSameMiddle(base, exec).value(), mid1)
+        << threads << " threads";
   }
 }
 
@@ -249,6 +285,35 @@ TEST(EvalGuards, UniverseGuard) {
   auto r = engine->Eval(Expr::Universe(), store);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
+// The Procedure 3/4 route honours the result-size guard like every
+// other operator, at every thread count.
+TEST(EvalGuards, ReachFastPathGuard) {
+  TripleStore store;
+  const char* chain[] = {"a", "b", "c", "d", "e", "f"};
+  for (int i = 0; i + 1 < 6; ++i) store.Add("E", chain[i], "r", chain[i + 1]);
+  store.Add("E", "f", "x", "a");
+  for (const char* text : {"(sigma[2!=\"x\"](E) JOIN[1,2,3'; 3=1'])*",
+                           "(sigma[2!=\"x\"](E) JOIN[1,2,3'; 3=1', 2=2'])*"}) {
+    Result<ExprPtr> e = ParseTriAL(text, &store);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    plan::PlanPtr p = plan::PlanExpr(*e, store);
+    ASSERT_EQ(p->op, plan::PlanOp::kReachFastPath) << text;
+    for (size_t threads : std::vector<size_t>{1, 2, 4}) {
+      ExecLimits limits;
+      limits.exec.num_threads = threads;
+      limits.exec.min_parallel_items = 1;
+      limits.max_result_triples = 5;  // the chain's closure has 15 rows
+      Result<TripleSet> r = plan::ExecutePlan(*p, store, limits);
+      ASSERT_FALSE(r.ok()) << text << " at " << threads << " threads";
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+      limits.max_result_triples = 15;
+      r = plan::ExecutePlan(*p, store, limits);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->size(), 15u);
+    }
+  }
 }
 
 TEST(EvalGuards, UnknownRelation) {

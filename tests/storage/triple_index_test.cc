@@ -16,6 +16,7 @@
 #include "graph/generators.h"
 #include "storage/triple_index.h"
 #include "storage/triple_set.h"
+#include "storage/triple_sort.h"
 #include "storage/triple_store.h"
 #include "util/rng.h"
 
@@ -196,6 +197,119 @@ TEST(TripleSetNormalize, InterleavedBatchesMatchSetModel) {
     ASSERT_EQ(s.size(), model.size()) << "round " << round;
     std::vector<Triple> expect(model.begin(), model.end());
     EXPECT_EQ(s.triples(), expect) << "round " << round;
+  }
+}
+
+// ---- SortUnique / SortedCopy: the splitter sort -----------------------
+
+// The serial reference: std::sort + std::unique under `order`.
+std::vector<Triple> SortedReference(IndexOrder order, std::vector<Triple> v) {
+  std::sort(v.begin(), v.end(), [order](const Triple& a, const Triple& b) {
+    return IndexLess(order, a, b);
+  });
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+// `v` cut into `k` runs of uneven length, like per-chunk kernel buffers.
+std::vector<std::vector<Triple>> CutRuns(const std::vector<Triple>& v,
+                                         size_t k) {
+  std::vector<std::vector<Triple>> runs(k);
+  size_t at = 0;
+  for (size_t r = 0; r < k; ++r) {
+    // Run r holds a share proportional to r + 1.
+    size_t end = v.size() * (r + 1) * (r + 2) / (k * (k + 1));
+    runs[r].assign(v.data() + at, v.data() + end);
+    at = end;
+  }
+  return runs;
+}
+
+struct SortCase {
+  const char* name;
+  std::vector<Triple> input;
+};
+
+std::vector<SortCase> SortCases() {
+  const size_t threshold = ExecOptions{}.min_parallel_items;
+  Rng rng(41);
+  auto random = [&](size_t n, ObjId universe) {
+    std::vector<Triple> v;
+    for (size_t i = 0; i < n; ++i) {
+      v.push_back({static_cast<ObjId>(rng.Below(universe)),
+                   static_cast<ObjId>(rng.Below(universe)),
+                   static_cast<ObjId>(rng.Below(universe))});
+    }
+    return v;
+  };
+  std::vector<SortCase> cases;
+  cases.push_back({"empty", {}});
+  cases.push_back({"single", {{3, 1, 2}}});
+  cases.push_back({"below_threshold", random(threshold - 1, 40)});
+  cases.push_back({"above_threshold", random(threshold + 1, 40)});
+  // 30 distinct triples repeated across 20K entries: every run and
+  // every bucket holds copies of the same few values.
+  std::vector<Triple> few = random(30, 1000);
+  std::vector<Triple> dups;
+  for (size_t i = 0; i < 20000; ++i) {
+    dups.push_back(few[rng.Below(few.size())]);
+  }
+  cases.push_back({"heavy_duplicates", dups});
+  // A Zipf hot key: subject 7 holds 60% of the triples, so most
+  // splitters share their leading column (and, in the POS and OSP
+  // orders, the trailing one).
+  std::vector<Triple> hot = random(20000, 500);
+  for (size_t i = 0; i < hot.size(); ++i) {
+    if (rng.Below(10) < 6) hot[i].s = 7;
+  }
+  cases.push_back({"hot_subject", hot});
+  return cases;
+}
+
+TEST(SortUnique, MatchesStdSortAtEveryOrderAndThreadCount) {
+  for (const SortCase& c : SortCases()) {
+    const std::vector<Triple> unique =
+        SortedReference(IndexOrder::kSPO, c.input);
+    for (IndexOrder order :
+         {IndexOrder::kSPO, IndexOrder::kPOS, IndexOrder::kOSP}) {
+      const std::vector<Triple> want = SortedReference(order, c.input);
+      for (size_t threads : {1, 2, 4}) {
+        // The stock threshold, and 1 to force even the empty and
+        // single-triple inputs down the parallel path.
+        for (size_t min_items :
+             {ExecOptions{}.min_parallel_items, size_t{1}}) {
+          ExecOptions exec;
+          exec.num_threads = threads;
+          exec.min_parallel_items = min_items;
+          for (size_t runs : {1, 7}) {
+            EXPECT_EQ(SortUnique(order, CutRuns(c.input, runs), exec), want)
+                << c.name << " " << IndexOrderName(order) << " threads="
+                << threads << " min_items=" << min_items << " runs=" << runs;
+          }
+          EXPECT_EQ(SortedCopy(order, unique, exec), want)
+              << c.name << " " << IndexOrderName(order) << " threads="
+              << threads << " min_items=" << min_items;
+        }
+      }
+    }
+  }
+}
+
+// The TripleSet routes onto the sort: a staged batch normalized and a
+// permutation built with parallel ExecOptions equal the serial ones.
+TEST(SortUnique, ParallelMaterializeMatchesSerial) {
+  std::vector<Triple> input = SortCases().back().input;
+  TripleSet serial(input);
+  ExecOptions exec;
+  exec.num_threads = 4;
+  for (IndexOrder order :
+       {IndexOrder::kSPO, IndexOrder::kPOS, IndexOrder::kOSP}) {
+    TripleSet parallel(input);
+    parallel.Materialize(order, exec);
+    EXPECT_TRUE(parallel.IndexReady(order));
+    TripleRange got = parallel.Scan(order), want = serial.Scan(order);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << IndexOrderName(order);
   }
 }
 

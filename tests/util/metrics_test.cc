@@ -1,7 +1,8 @@
 // The process metrics registry: named instrument identity, counter and
 // gauge semantics, the log2 histogram bucketing, the global enable
-// flag, snapshot/JSON rendering, and thread-safety under a concurrent
-// hammer (the TSan configuration runs this suite).
+// flag, snapshot/JSON rendering, thread-safety under a concurrent
+// hammer (the TSan configuration runs this suite), and the engine's
+// permutation-build and result-materialization instruments.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/eval.h"
+#include "core/parser.h"
+#include "storage/triple_store.h"
 #include "util/metrics.h"
 
 namespace trial {
@@ -142,6 +146,68 @@ TEST(MetricsClock, MonotonicNanosNeverGoesBackwards) {
     ASSERT_GE(now, prev);
     prev = now;
   }
+}
+
+uint64_t CounterTotal(const std::string& name) {
+  for (const auto& c : MetricsRegistry::Global().Snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+// A cold query on a fresh store pays a permutation build; the same query
+// again finds the permutation cached and builds nothing.
+TEST(MetricsEngine, PermutationBuildsCountColdQueriesOnly) {
+  bool was = MetricsEnabled();
+  SetMetricsEnabled(true);
+  TripleStore store;
+  for (int i = 0; i < 50; ++i) {
+    store.Add("E", "s" + std::to_string(i), "p" + std::to_string(i % 5),
+              "o" + std::to_string(i % 7));
+  }
+  Result<ExprPtr> e = ParseTriAL("sigma[2=\"p3\"](E)", &store);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  auto engine = MakeSmartEvaluator();
+  const uint64_t before = CounterTotal("index.permutation_builds");
+  ASSERT_TRUE(engine->Eval(*e, store).ok());
+  const uint64_t cold = CounterTotal("index.permutation_builds");
+  EXPECT_GE(cold, before + 1);
+  ASSERT_TRUE(engine->Eval(*e, store).ok());
+  EXPECT_EQ(CounterTotal("index.permutation_builds"), cold);
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  const MetricsSnapshot::HistogramValue* h =
+      FindHisto(snap, "index.permutation_build_ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_GE(h->count, cold);
+  SetMetricsEnabled(was);
+}
+
+// A kernel output large enough for the parallel sort records its time.
+TEST(MetricsEngine, ParallelMaterializationIsTimed) {
+  bool was = MetricsEnabled();
+  SetMetricsEnabled(true);
+  TripleStore store;
+  for (int i = 0; i < 4000; ++i) {
+    store.Add("E", "n" + std::to_string(i % 400), "p",
+              "n" + std::to_string((i * 7 + i / 400) % 400));
+  }
+  Result<ExprPtr> e = ParseTriAL("(E JOIN[1,2,3'; 3=1'] E)", &store);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EvalOptions opts;
+  opts.exec.num_threads = 4;
+  auto engine = MakeSmartEvaluator(opts);
+  auto histo_count = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    const MetricsSnapshot::HistogramValue* h =
+        FindHisto(snap, "exec.materialize_ns");
+    return h == nullptr ? uint64_t{0} : h->count;
+  };
+  const uint64_t before = histo_count();
+  Result<TripleSet> r = engine->Eval(*e, store);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_GE(r->size(), opts.exec.min_parallel_items);
+  EXPECT_EQ(histo_count(), before + 1);
+  SetMetricsEnabled(was);
 }
 
 // Concurrency: registrations, counter bumps and histogram observations
