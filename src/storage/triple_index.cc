@@ -74,6 +74,34 @@ const std::vector<Triple>& TripleIndexCache::Permutation(
   return perm;
 }
 
+void TripleIndexCache::CarryOver(std::shared_ptr<TripleIndexCache> prev,
+                                 std::vector<Triple> batch) {
+  if (prev.use_count() > 1) {
+    base.reserve(prev->base.size() + batch.size());
+    base.assign(prev->base.begin(), prev->base.end());
+    MergeSortedInto(IndexOrder::kSPO, batch, &base);
+    return;
+  }
+  if (prev->pos_built) {
+    pos = std::move(prev->pos);
+    MergeSortedInto(IndexOrder::kPOS,
+                    SortUnique(IndexOrder::kPOS, {batch}, {}), &pos);
+    pos_built = true;
+  }
+  if (prev->osp_built) {
+    osp = std::move(prev->osp);
+    MergeSortedInto(IndexOrder::kOSP,
+                    SortUnique(IndexOrder::kOSP, {batch}, {}), &osp);
+    osp_built = true;
+  }
+  if (prev->base.empty()) {
+    base = std::move(batch);
+  } else {
+    base = std::move(prev->base);
+    MergeSortedInto(IndexOrder::kSPO, batch, &base);
+  }
+}
+
 const std::vector<Triple>& TripleIndexCache::SegmentPermutation(
     const TripleSegmentSource& src, IndexOrder order) {
   std::vector<Triple>* slot = nullptr;

@@ -127,16 +127,17 @@ struct TripleSetStats {
 double EstimateEquiJoinRows(const TripleSetStats& l, int lcol,
                             const TripleSetStats& r, int rcol);
 
-/// The lazily-built part of a TripleSet's index: the POS and OSP
-/// permutations plus stats.  Owned via shared_ptr by every TripleSet
-/// copy with the same normalized contents; TripleSet is the only caller.
+/// A TripleSet's sorted contents: the SPO body plus the lazily-built POS
+/// and OSP permutations and stats.  Owned via shared_ptr by every
+/// TripleSet copy with the same normalized contents, so copying a set is
+/// O(1); TripleSet is the only caller.
 struct TripleIndexCache {
   std::vector<Triple> pos, osp;
   bool pos_built = false;
   bool osp_built = false;
-  // For a snapshot-backed set the SPO vector itself is lazy too: it is
-  // decoded here, not stored in the TripleSet, so copies share the one
-  // decode the same way they share the sorted permutations.
+  // The SPO body, sorted and duplicate-free.  For a snapshot-backed set
+  // it is lazy too: decoded here on first use (base_built), and copies
+  // share the one decode the same way they share the permutations.
   std::vector<Triple> base;
   bool base_built = false;
   TripleSetStats stats;
@@ -155,6 +156,17 @@ struct TripleIndexCache {
   const std::vector<Triple>& Permutation(const std::vector<Triple>& spo,
                                          IndexOrder order,
                                          const ExecOptions& exec = {});
+
+  /// Fills this fresh cell after a write to an in-memory set, merging
+  /// `batch` (sorted SPO, duplicate-free) into the contents of `prev`,
+  /// the cell before the write.  When this call holds `prev`'s last
+  /// reference it takes over the body and every permutation built on
+  /// it, each merged in O(n + k log k) where a rebuild would sort all n
+  /// again.  When other copies still read `prev`, only the body is
+  /// copied; the permutations rebuild on demand, as for any fresh set.
+  /// Stats and the reach index are not carried; they rebuild lazily.
+  void CarryOver(std::shared_ptr<TripleIndexCache> prev,
+                 std::vector<Triple> batch);
 
   /// Snapshot-backed variant: the permutation decoded straight from
   /// `src`'s compressed segment for `order` — O(n), no sort, the

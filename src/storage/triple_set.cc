@@ -28,41 +28,50 @@ Status TripleSet::SnapshotHealth() const {
   return source_ != nullptr ? source_->status() : Status::OK();
 }
 
-void TripleSet::Promote() const {
+void TripleSet::Promote(const std::shared_ptr<TripleIndexCache>& prev) const {
   // Copy-on-write: this set is about to diverge from the snapshot.
-  // Materialize SPO (reusing the shared cache's decode when present),
-  // then drop the source; other copies keep reading the snapshot.
-  if (cache_ != nullptr && cache_->base_built) {
-    triples_ = cache_->base;
+  // Materialize SPO (reusing the old cell's decode when present), then
+  // drop the source; other copies keep reading the snapshot.
+  std::vector<Triple>& body = cache_->base;
+  if (prev != nullptr && prev->base_built) {
+    if (prev.use_count() == 1) {
+      body = std::move(prev->base);
+    } else {
+      body = prev->base;
+    }
   } else {
-    (void)source_->Decode(IndexOrder::kSPO, &triples_);
+    (void)source_->Decode(IndexOrder::kSPO, &body);
   }
   if (decode_error_.ok()) decode_error_ = source_->status();
   source_.reset();
 }
 
-void TripleSet::Normalize(const ExecOptions& exec) const {
+void TripleSet::Normalize() const {
   if (staged_.empty()) return;
-  if (source_ != nullptr) Promote();
   // Sort only the staged batch and merge it into the already-sorted
-  // body: O(n + k log k) per batch instead of O((n+k) log (n+k)).
+  // body: O(n + k log k) per batch instead of O((n+k) log (n+k)).  The
+  // sort is serial: large kernel outputs arrive sorted (KernelResult),
+  // and a mid-size batch sorted on the pool takes as long as its
+  // workers take to wake, which on a busy host varies from call to call.
   std::vector<std::vector<Triple>> runs(1);
   runs[0].swap(staged_);  // releases the staged buffer with the batch
   std::vector<Triple> batch =
-      SortUnique(IndexOrder::kSPO, std::move(runs), exec);
-  if (triples_.empty()) {
-    triples_.swap(batch);
-  } else {
-    size_t mid = triples_.size();
-    triples_.insert(triples_.end(), batch.begin(), batch.end());
-    std::inplace_merge(triples_.begin(), triples_.begin() + mid,
-                       triples_.end());
-    triples_.erase(std::unique(triples_.begin(), triples_.end()),
-                   triples_.end());
-  }
-  // The contents changed: detach onto a fresh cache cell rather than
-  // clearing the shared one, which other copies may still be using.
+      SortUnique(IndexOrder::kSPO, std::move(runs), ExecOptions{});
+  // The contents change: detach onto a fresh cache cell rather than
+  // changing the shared one, which other copies may still be using.
+  std::shared_ptr<TripleIndexCache> prev = std::move(cache_);
   cache_ = std::make_shared<TripleIndexCache>();
+  if (source_ != nullptr) {
+    // A snapshot set's permutations are segment decodes whose failures
+    // stick to the source; the promoted set rebuilds its own.
+    Promote(prev);
+    prev.reset();  // frees the old cell's decodes before the body grows
+    MergeSortedInto(IndexOrder::kSPO, batch, &cache_->base);
+  } else if (prev != nullptr) {
+    cache_->CarryOver(std::move(prev), std::move(batch));
+  } else {
+    cache_->base = std::move(batch);
+  }
 }
 
 bool TripleSet::Contains(const Triple& t) const {
@@ -72,11 +81,11 @@ bool TripleSet::Contains(const Triple& t) const {
 
 const std::vector<Triple>& TripleSet::OrderVector(
     IndexOrder order, const ExecOptions& exec) const {
-  Normalize(exec);
+  Normalize();
   if (cache_ == nullptr) cache_ = std::make_shared<TripleIndexCache>();
   if (source_ != nullptr) return cache_->SegmentPermutation(*source_, order);
-  if (order == IndexOrder::kSPO) return triples_;
-  return cache_->Permutation(triples_, order, exec);
+  if (order == IndexOrder::kSPO) return cache_->base;
+  return cache_->Permutation(cache_->base, order, exec);
 }
 
 TripleRange TripleSet::Lookup(int column, ObjId v) const {
@@ -150,7 +159,7 @@ TripleSet TripleSet::FromSortedUnique(std::vector<Triple> triples) {
   assert(std::adjacent_find(triples.begin(), triples.end()) ==
          triples.end());
   TripleSet r;
-  r.triples_ = std::move(triples);
+  r.cache_->base = std::move(triples);
   return r;
 }
 
@@ -160,7 +169,7 @@ TripleSet TripleSet::Union(const TripleSet& a, const TripleSet& b) {
   std::set_union(a.begin(), a.end(), b.begin(), b.end(),
                  std::back_inserter(out));
   TripleSet r;
-  r.triples_ = std::move(out);
+  r.cache_->base = std::move(out);
   return r;
 }
 
@@ -169,7 +178,7 @@ TripleSet TripleSet::Difference(const TripleSet& a, const TripleSet& b) {
   std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
                       std::back_inserter(out));
   TripleSet r;
-  r.triples_ = std::move(out);
+  r.cache_->base = std::move(out);
   return r;
 }
 
@@ -178,7 +187,7 @@ TripleSet TripleSet::Intersection(const TripleSet& a, const TripleSet& b) {
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
   TripleSet r;
-  r.triples_ = std::move(out);
+  r.cache_->base = std::move(out);
   return r;
 }
 

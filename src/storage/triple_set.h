@@ -8,10 +8,13 @@
 // (sort the batch, inplace_merge into the sorted body), so bulk loads
 // and fixpoint iterations stay cheap.
 //
-// The permutation cache is shared between copies: copying a relation out
-// of a TripleStore shares the store's cache cell, so an index built
-// through any copy benefits every later copy of the same relation.
-// Mutating a copy detaches it onto a fresh cell.
+// The sorted body and its permutations live in one cache cell shared
+// between copies: copying a set is O(1), and copying a relation out of
+// a TripleStore shares the store's cell, so an index built through any
+// copy benefits every later copy of the same relation.  Mutating a copy
+// detaches it onto a fresh cell (copy-on-write); a write to a set that
+// is its cell's only user merges the batch into the body and into the
+// permutations already built instead of dropping them.
 //
 // Snapshot backing: a set opened from an on-disk store snapshot holds a
 // TripleSegmentSource instead of decoded vectors.  size() and Stats()
@@ -81,7 +84,7 @@ class TripleSet {
   size_t size() const {
     if (source_ != nullptr && staged_.empty()) return source_->num_triples();
     Normalize();
-    return triples_.size();
+    return cache_ != nullptr ? cache_->base.size() : 0;
   }
   bool empty() const { return size() == 0; }
 
@@ -130,9 +133,8 @@ class TripleSet {
   /// touch no lazily-mutated state.  Parallel kernels call this before
   /// handing the set to concurrent workers: the lazy builds are
   /// single-writer, concurrent reads after materialization are safe.
-  /// Both the staged-batch sort and the permutation build go through
-  /// SortUnique / SortedCopy, so they run on the pool when `exec` says
-  /// the size pays.
+  /// The permutation build goes through SortedCopy, on the pool when
+  /// `exec` says the size pays; pending inserts are merged serially.
   void Materialize(IndexOrder order, const ExecOptions& exec = {}) const {
     OrderVector(order, exec);
   }
@@ -229,24 +231,26 @@ class TripleSet {
   bool operator!=(const TripleSet& o) const { return !(*this == o); }
 
  private:
-  /// Folds staged_ into triples_: sorts and dedups the batch (in place
-  /// when serial) and adopts it when the body is empty, else merges it
-  /// in.  The staged buffer is released either way.
-  void Normalize(const ExecOptions& exec = {}) const;
-  /// Copy-on-write promotion: materializes triples_ from the snapshot
-  /// (cache copy or fresh decode) and drops the source.  Any decode
-  /// failure is captured into decode_error_ so SnapshotHealth() keeps
-  /// reporting it after the source is gone.
-  void Promote() const;
-  /// The permutation vector backing `order` (triples_ for SPO, or the
-  /// shared cache's segment decode for snapshot-backed sets).
+  /// Folds staged_ into the body on a fresh cache cell: sorts and
+  /// dedups the batch in place, then merges it into the body and the
+  /// built permutations (TripleIndexCache::CarryOver), or adopts it when
+  /// the set was empty.  The staged buffer is released.
+  void Normalize() const;
+  /// Copy-on-write promotion: materializes the SPO body on the fresh
+  /// cell (taking over or copying `prev`'s decode, else decoding) and
+  /// drops the source.  Any decode failure is captured into
+  /// decode_error_ so SnapshotHealth() keeps reporting it after the
+  /// source is gone.
+  void Promote(const std::shared_ptr<TripleIndexCache>& prev) const;
+  /// The permutation vector backing `order` (the cell's body for SPO,
+  /// or its segment decode for snapshot-backed sets).
   const std::vector<Triple>& OrderVector(IndexOrder order,
                                          const ExecOptions& exec = {}) const;
 
-  mutable std::vector<Triple> triples_;  // sorted, unique
-  mutable std::vector<Triple> staged_;   // pending inserts
-  // Shared with copies; detached (fresh cell) whenever triples_ changes.
-  // Never null except after being moved from; OrderVector/Stats re-create.
+  mutable std::vector<Triple> staged_;  // pending inserts
+  // The contents, shared with copies; detached (fresh cell) whenever
+  // they change.  Never null except after being moved from;
+  // OrderVector/Stats re-create.
   mutable std::shared_ptr<TripleIndexCache> cache_;
   // Snapshot backing; shared by every copy of the relation.  Null for
   // in-memory sets and after copy-on-write promotion.

@@ -182,6 +182,20 @@ std::vector<Triple> SortedCopyIn(const std::vector<Triple>& unique,
                          unique.size(), /*dedup=*/false, exec, nullptr);
 }
 
+template <IndexOrder O>
+void MergeSortedIntoIn(const std::vector<Triple>& batch,
+                       std::vector<Triple>* sorted) {
+  if (batch.empty()) return;
+  const OrderLess<O> less;
+  const size_t mid = sorted->size();
+  sorted->insert(sorted->end(), batch.begin(), batch.end());
+  // Everything before the first batch triple's slot is already final.
+  const auto from = std::lower_bound(
+      sorted->begin(), sorted->begin() + mid, batch.front(), less);
+  std::inplace_merge(from, sorted->begin() + mid, sorted->end(), less);
+  sorted->erase(std::unique(from, sorted->end()), sorted->end());
+}
+
 }  // namespace
 
 std::vector<Triple> Concatenate(std::vector<std::vector<Triple>> runs) {
@@ -209,6 +223,18 @@ std::vector<Triple> SortUnique(IndexOrder order,
       return SortUniqueIn<IndexOrder::kOSP>(std::move(runs), exec);
   }
   return {};
+}
+
+void MergeSortedInto(IndexOrder order, const std::vector<Triple>& batch,
+                     std::vector<Triple>* sorted) {
+  switch (order) {
+    case IndexOrder::kSPO:
+      return MergeSortedIntoIn<IndexOrder::kSPO>(batch, sorted);
+    case IndexOrder::kPOS:
+      return MergeSortedIntoIn<IndexOrder::kPOS>(batch, sorted);
+    case IndexOrder::kOSP:
+      return MergeSortedIntoIn<IndexOrder::kOSP>(batch, sorted);
+  }
 }
 
 std::vector<Triple> SortedCopy(IndexOrder order,

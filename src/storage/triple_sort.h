@@ -39,6 +39,14 @@ std::vector<Triple> SortUnique(IndexOrder order,
 /// grown), freeing each later run as it is copied.
 std::vector<Triple> Concatenate(std::vector<std::vector<Triple>> runs);
 
+/// Merges `batch` into `sorted` in place; both are sorted in `order` and
+/// duplicate-free, and triples of `batch` already in `sorted` are
+/// dropped.  Only the tail from the first insertion point moves, through
+/// a k-sized buffer: O(n + k), the write path's alternative to sorting a
+/// whole permutation again.
+void MergeSortedInto(IndexOrder order, const std::vector<Triple>& batch,
+                     std::vector<Triple>* sorted);
+
 /// A copy of `unique` (duplicate-free, in any order) sorted in `order`
 /// — the POS / OSP permutation builds, scattered straight from the SPO
 /// body, which is left untouched.

@@ -139,7 +139,7 @@ TEST(TripleIndex, LazyBuildAndInvalidationOnInsert) {
 
   s.Insert(4, 2, 6);  // invalidates
   EXPECT_FALSE(s.IndexReady(IndexOrder::kPOS));
-  EXPECT_EQ(s.Lookup(1, 2).size(), 2u);  // rebuilt over the merged body
+  EXPECT_EQ(s.Lookup(1, 2).size(), 2u);  // the batch merged into POS
   EXPECT_TRUE(s.IndexReady(IndexOrder::kPOS));
 }
 
@@ -310,6 +310,55 @@ TEST(SortUnique, ParallelMaterializeMatchesSerial) {
     TripleRange got = parallel.Scan(order), want = serial.Scan(order);
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << IndexOrderName(order);
+  }
+}
+
+// Copies share the sorted body itself, not just the permutations: a
+// copy is O(1), and a write to either side copies the body first.
+TEST(TripleSetNormalize, CopiesShareTheBodyUntilWrite) {
+  Rng rng(29);
+  TripleSet original = RandomSet(&rng, 200, 8);
+  const std::vector<Triple> before = original.triples();
+  original.Lookup(1, 3);  // builds POS on the shared cell
+  TripleSet copy = original;
+  EXPECT_EQ(&copy.triples(), &original.triples());
+  copy.Insert(99, 3, 99);
+  EXPECT_EQ(copy.Lookup(1, 3).size(), original.Lookup(1, 3).size() + 1);
+  EXPECT_NE(&copy.triples(), &original.triples());
+  EXPECT_EQ(original.triples(), before);
+  EXPECT_TRUE(original.IndexReady(IndexOrder::kPOS));
+}
+
+// A write to a set that is its cell's only user merges the batch into
+// the permutations already built instead of dropping them; an order
+// never built stays lazy until its first probe (OSP, from round 5).
+TEST(TripleSetNormalize, WritesMergeIntoBuiltPermutations) {
+  Rng rng(31);
+  TripleSet s = RandomSet(&rng, 300, 12);
+  std::set<Triple> model(s.begin(), s.end());
+  s.Materialize(IndexOrder::kPOS);
+  for (int round = 0; round < 12; ++round) {
+    // Fresh triples plus a copy of a present one, which must not
+    // duplicate in any permutation.
+    std::vector<Triple> batch;
+    for (size_t i = 0; i < 25; ++i) {
+      batch.push_back({static_cast<ObjId>(rng.Below(14)),
+                       static_cast<ObjId>(rng.Below(14)),
+                       static_cast<ObjId>(rng.Below(14))});
+    }
+    batch.push_back(*s.begin());
+    for (const Triple& t : batch) model.insert(t);
+    s.InsertBatch(batch);
+    ASSERT_EQ(s.size(), model.size()) << "round " << round;
+    EXPECT_TRUE(s.IndexReady(IndexOrder::kPOS)) << "round " << round;
+    EXPECT_EQ(s.IndexReady(IndexOrder::kOSP), round > 5) << "round " << round;
+    for (IndexOrder ord : {IndexOrder::kPOS, IndexOrder::kOSP}) {
+      if (ord == IndexOrder::kOSP && round < 5) continue;
+      TripleRange r = s.Scan(ord);
+      EXPECT_EQ(std::vector<Triple>(r.begin(), r.end()),
+                SortedReference(ord, {model.begin(), model.end()}))
+          << IndexOrderName(ord) << " round " << round;
+    }
   }
 }
 
