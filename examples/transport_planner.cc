@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   Timer t1;
   auto all = engine->Eval(reach, store);
   std::printf("full reachability: %zu triples in %.1f ms "
-              "(Procedure 3 fast path)\n",
+              "(interval reachability index)\n",
               all->size(), t1.Millis());
 
   // Restrict to trips out of city0: σ_{1=city0}(reach).  The optimizer

@@ -97,7 +97,7 @@ void AppendNodeSummary(const PlanNode& n, std::string* out) {
       out->append(" [").append(n.spec.ToString()).append("]");
       break;
     case PlanOp::kReachFastPath:
-      out->append(n.reach_same_middle ? " same-middle" : " any-path");
+      out->append(" same-middle");
       break;
     case PlanOp::kReachIndexScan:
       out->append(" any-path");

@@ -13,7 +13,9 @@
 //   MergeJoin       e ⋈ e            (walk two key-sorted runs in step)
 //   UnionOp/MinusOp e ∪ e, e − e
 //   FixpointStar    (e ⋈)*, (⋈ e)*   (semi-naive delta iteration)
-//   ReachFastPath   reachTA= stars   (Procedures 3 / 4)
+//   ReachIndexScan  any-path star    (interval reachability index)
+//   ReachFastPath   same-middle star (Procedure 4)
+//   DijkstraScan    weighted shortest paths over rho
 //
 // Ordering property: every operator's output, once normalized, is
 // sorted on its own column 0 (the TripleSet representation *is* the SPO
@@ -217,7 +219,7 @@ enum class PlanOp : uint8_t {
   kUnionOp,         ///< child ∪ child
   kMinusOp,         ///< child − child
   kFixpointStar,    ///< (child ⋈)* / (⋈ child)* — semi-naive iteration
-  kReachFastPath,   ///< reachTA= star — Procedure 3 or 4
+  kReachFastPath,   ///< same-middle reachTA= star — Procedure 4
   kReachIndexScan,  ///< reachTA= star via the interval reachability index
   kDijkstraScan,    ///< weighted shortest path / SSSP tree over rho
 };
@@ -280,7 +282,6 @@ struct PlanNode {
   std::string rel_name;     ///< kIndexScan: the relation
   JoinSpec spec;            ///< joins + stars; selections use spec.cond
   bool star_right = true;   ///< kFixpointStar: (e ⋈)* vs (⋈ e)*
-  bool reach_same_middle = false;  ///< kReachFastPath: Procedure 4 vs 3
 
   /// kDijkstraScan: source / destination object *names*, resolved
   /// against the store at execution time (NotFound then — planning

@@ -2,7 +2,7 @@
 // store, dispatching every parallel kernel from one place.
 //
 // This is the former SmartEvaluator execution logic (hash/probe joins,
-// semi-naive fixpoints, Procedure 3/4 dispatch), lifted out of
+// semi-naive fixpoints, reach-star dispatch), lifted out of
 // smart_eval.cc so that every consumer — the smart engine shim, the
 // CLIs' EXPLAIN paths and the tests — runs the same code.  Results are
 // byte-identical to the pre-plan evaluator at every thread count: the
@@ -22,7 +22,6 @@
 
 #include "core/eval.h"
 #include "core/fast_reach.h"
-#include "core/fragment.h"
 #include "core/plan/plan.h"
 #include "core/reach/dijkstra.h"
 #include "core/reach/reach_index.h"
@@ -178,13 +177,9 @@ class Executor {
       case PlanOp::kReachFastPath: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
         NoteRows(*n.children[0], base);
-        n.runtime.strategy = n.reach_same_middle ? "procedure-4"
-                                                 : "procedure-3";
-        return n.reach_same_middle
-                   ? StarReachSameMiddle(base, limits_.exec,
-                                         limits_.max_result_triples)
-                   : StarReachAnyPath(base, limits_.exec,
-                                      limits_.max_result_triples);
+        n.runtime.strategy = "procedure-4";
+        return StarReachSameMiddle(base, limits_.exec,
+                                   limits_.max_result_triples);
       }
       case PlanOp::kFixpointStar: {
         TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
@@ -199,7 +194,7 @@ class Executor {
         // cold build on an IndexScan child warms the store's relation
         // for every later query.
         std::shared_ptr<const reach::ReachIndex> idx =
-            reach::ReachIndex::GetOrBuild(base, limits_.exec);
+            reach::ReachIndex::GetOrBuild(base);
         if (MetricsEnabled()) {
           MetricsRegistry::Global().GetCounter("reach.index_hits")
               ->Increment();
@@ -555,17 +550,7 @@ class Executor {
     // and merge order are untouched, so results stay byte-identical.
     size_t threads = limits_.exec.EffectiveThreads();
     size_t reserve_hint = 0;
-    double est_out = n.est_rows;
-    // A warm reachability index bounds the any-path star's output
-    // exactly (up to overlapping per-group closures) — better than the
-    // planner's heuristic for sizing the chunk buffers.  Reserve only:
-    // contents and merge order are untouched.
-    if (n.star_right && IsReachSpecA(n.spec)) {
-      if (std::shared_ptr<const reach::ReachIndex> idx =
-              reach::ReachIndex::Cached(base)) {
-        est_out = static_cast<double>(idx->star_output_rows());
-      }
-    }
+    const double est_out = n.est_rows;
     if (est_out > 0) {
       double per_chunk = est_out / static_cast<double>(
                                        threads * kChunksPerThread);

@@ -14,12 +14,13 @@
 //   join key column       rows = |L|·|R| / max(d_L, d_R) per exact key
 //   union / minus         a + b  /  a
 //   (e ⋈)* fixpoint       rows = 4·|e|                   (crude growth)
-//   reach fast path       rows = |e|·sqrt(d_o)  — the geometric middle
+//   reach stars           rows = |e|·sqrt(d_o)  — the geometric middle
 //                         between no growth (|e|) and the complete
 //                         closure (|e|·|O|); the arbitrary-path star is
 //                         output-bound superlinear (see ROADMAP), so
 //                         this estimate is deliberately surfaced in
-//                         Explain() to make the blowup visible.
+//                         Explain() to make the blowup visible.  A
+//                         warm index replaces it with its exact bound.
 //
 // Distinct counts of derived results default to rows^(2/3) per column (a
 // uniform-cube assumption); selections pin their constant columns to 1
@@ -47,12 +48,6 @@
 namespace trial {
 namespace plan {
 namespace {
-
-// Estimated-output floor for building the interval reachability index
-// cold (no warm index on the base relation): below this, one Procedure 3
-// DFS pass is cheaper than SCC contraction + labeling, and the build
-// would not amortize within the query.  A warm index is always used.
-constexpr double kReachIndexMinRows = 4096;
 
 // Running cardinality info during lowering.
 struct Card {
@@ -306,27 +301,19 @@ class Planner {
         bool reach_a = node->star_right && IsReachSpecA(node->spec);
         bool reach_b = node->star_right && IsReachSpecB(node->spec);
         if (reach_a || reach_b) {
-          node->op = PlanOp::kReachFastPath;
-          node->reach_same_middle = reach_b;
+          // Any-path stars always run on the interval reachability
+          // index, built cold when the base has none (a derived base's
+          // index dies with the query; a store relation keeps it).
+          // Same-middle stars run Procedure 4.
+          node->op = reach_a ? PlanOp::kReachIndexScan
+                             : PlanOp::kReachFastPath;
           c.rows = cb.rows * std::sqrt(std::max(cb.distinct[2], 1.0));
-          // Any-path stars route through the interval reachability
-          // index when it is warm on the base relation (then its exact
-          // output bound replaces the heuristic estimate), or cold when
-          // the estimated output is large enough to amortize the build.
-          // Cold builds are gated to store-backed bases: the index
-          // caches on the relation's shared cell and pays off across
-          // queries, where a derived base's cell dies with the query.
-          if (reach_a && base->op == PlanOp::kIndexScan) {
-            std::shared_ptr<const reach::ReachIndex> warm;
-            if (const TripleSet* rel = store_.FindRelation(base->rel_name)) {
-              warm = reach::ReachIndex::Cached(*rel);
-            }
-            if (warm != nullptr) {
-              node->op = PlanOp::kReachIndexScan;
-              c.rows = static_cast<double>(warm->star_output_rows());
-            } else if (c.rows >= kReachIndexMinRows) {
-              node->op = PlanOp::kReachIndexScan;
-            }
+          // A warm index's exact output bound replaces the heuristic.
+          const TripleSet* rel = reach_a && base->op == PlanOp::kIndexScan
+                                     ? store_.FindRelation(base->rel_name)
+                                     : nullptr;
+          if (auto warm = rel ? reach::ReachIndex::Cached(*rel) : nullptr) {
+            c.rows = static_cast<double>(warm->star_output_rows());
           }
         } else {
           node->op = PlanOp::kFixpointStar;

@@ -14,6 +14,8 @@
 #ifndef TRIAL_CORE_REACH_GRAPH_H_
 #define TRIAL_CORE_REACH_GRAPH_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,12 +29,17 @@ namespace reach {
 inline constexpr uint32_t kNoNode = UINT32_MAX;
 
 /// The node universe of the projected graph: distinct subjects ∪
-/// distinct objects, read off the SPO and OSP orders as a sorted id
-/// list.  Dense ids are positions in that list — so dense order equals
-/// raw ObjId order, which downstream code exploits (a dense-ascending
-/// walk visits raw ids ascending).  The id→dense map is a
-/// direct-indexed vector when the raw id range is comparably small
-/// (O(1) lookups), a binary search otherwise.
+/// distinct objects as a sorted id list.  Dense ids are positions in
+/// that list — so dense order equals raw ObjId order, which downstream
+/// code exploits (a dense-ascending walk visits raw ids ascending).
+///
+/// The id→dense map buckets the raw id range by its high bits:
+/// `first_[b]` is the position of the first node in bucket b.  When the
+/// range is comparably small every id is its own bucket and `first_[o]`
+/// *is* o's dense id (one load); otherwise there are between n and 2n
+/// buckets for n nodes, so a lookup binary-searches a bucket of about
+/// one id even when the base's ids are spread thinly over a large
+/// store's id space (one predicate's subgraph).
 class NodeMap {
  public:
   NodeMap() = default;  // empty graph
@@ -41,19 +48,22 @@ class NodeMap {
   /// Dense id of `o`, which must be a node of the graph (a subject or
   /// object of the base set) — unchecked otherwise.
   uint32_t Dense(ObjId o) const {
-    if (!direct_.empty()) return direct_[o];
+    if (shift_ == 0) return first_[o];
+    const size_t b = o >> shift_;
     return static_cast<uint32_t>(
-        std::lower_bound(nodes_.begin(), nodes_.end(), o) - nodes_.begin());
+        std::lower_bound(nodes_.begin() + first_[b],
+                         nodes_.begin() + first_[b + 1], o) -
+        nodes_.begin());
   }
 
   /// Dense id of `o`, or kNoNode when `o` is not a node of the graph.
   /// Safe for arbitrary ids (user-supplied endpoints).
   uint32_t DenseOrNoNode(ObjId o) const {
-    if (!direct_.empty()) {
-      return o < direct_.size() ? direct_[o] : kNoNode;
-    }
-    auto it = std::lower_bound(nodes_.begin(), nodes_.end(), o);
-    if (it == nodes_.end() || *it != o) return kNoNode;
+    const size_t b = o >> shift_;
+    if (b + 1 >= first_.size()) return kNoNode;
+    const auto last = nodes_.begin() + first_[b + 1];
+    const auto it = std::lower_bound(nodes_.begin() + first_[b], last, o);
+    if (it == last || *it != o) return kNoNode;
     return static_cast<uint32_t>(it - nodes_.begin());
   }
 
@@ -61,8 +71,9 @@ class NodeMap {
   size_t size() const { return nodes_.size(); }
 
  private:
-  std::vector<ObjId> nodes_;      // sorted distinct subject/object ids
-  std::vector<uint32_t> direct_;  // empty: use binary search
+  std::vector<ObjId> nodes_;     // sorted distinct subject/object ids
+  std::vector<uint32_t> first_;  // bucket starts; size() == buckets + 1
+  uint32_t shift_ = 0;           // bucket of id o: o >> shift_
 };
 
 /// CSR adjacency of the projected graph in dense-node space.  Edge

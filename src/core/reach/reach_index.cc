@@ -1,7 +1,6 @@
 #include "core/reach/reach_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "util/metrics.h"
@@ -10,12 +9,7 @@ namespace trial {
 namespace reach {
 namespace {
 
-// A build-time interval over pid space.  `exact` means every pid in
-// [lo, hi] is truly reachable; an inexact interval over-approximates.
-struct Iv {
-  uint32_t lo, hi;
-  uint8_t exact;
-};
+using Iv = ReachIndex::Interval;
 
 // Coalesces `scratch` (any order) into `out`: sorted by lo, disjoint,
 // non-adjacent.  Overlapping or adjacent inputs merge; the union of
@@ -23,9 +17,12 @@ struct Iv {
 // approximate input (other than one fully contained in the running
 // interval, which adds nothing) turns approximate.
 void Coalesce(std::vector<Iv>& scratch, std::vector<Iv>* out) {
-  std::sort(scratch.begin(), scratch.end(), [](const Iv& a, const Iv& b) {
+  auto by_lo = [](const Iv& a, const Iv& b) {
     return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-  });
+  };
+  if (!std::is_sorted(scratch.begin(), scratch.end(), by_lo)) {
+    std::sort(scratch.begin(), scratch.end(), by_lo);
+  }
   out->clear();
   for (const Iv& iv : scratch) {
     if (out->empty() || (iv.lo > out->back().hi && iv.lo - out->back().hi > 1)) {
@@ -60,18 +57,12 @@ void ApplyBudget(std::vector<Iv>* ivs, size_t budget) {
   }
 }
 
-// Cap on the emission reserve derived from the (near-exact)
-// closure-size bound: 16Mi triples ≈ 192 MiB.  The bound over-counts
-// only overlapping multi-object groups, so reserving it fully avoids
-// the mid-emit regrow (a copy of the whole output) that dominated the
-// large-output benchmark rows; the cap bounds the up-front allocation
-// when the guard is going to abort the emission anyway.
+// Cap on the serial emission reserve derived from the closure-size
+// bound: 16Mi triples ≈ 192 MiB.  The bound over-counts only
+// overlapping multi-object groups, so reserving it fully avoids the
+// mid-emit regrow (a copy of the whole output); the cap bounds the
+// up-front allocation when the guard is going to abort the emission.
 constexpr size_t kEmitReserveCap = size_t{1} << 24;
-
-// Parallel chunks flush emit counts into the shared result-size guard
-// every this many outputs (same cadence as the plan executor's join
-// kernels): prompt aborts without per-triple atomic contention.
-constexpr size_t kGuardStride = 4096;
 
 }  // namespace
 
@@ -80,18 +71,16 @@ std::shared_ptr<const ReachIndex> ReachIndex::Cached(const TripleSet& base) {
 }
 
 std::shared_ptr<const ReachIndex> ReachIndex::GetOrBuild(
-    const TripleSet& base, const ExecOptions& exec,
-    const ReachIndexOptions& opts) {
+    const TripleSet& base, const ReachIndexOptions& opts) {
   std::shared_ptr<const ReachIndex> cached = Cached(base);
   if (cached != nullptr) return cached;
-  std::shared_ptr<const ReachIndex> built = Build(base, exec, opts);
+  std::shared_ptr<const ReachIndex> built = Build(base, opts);
   base.AttachReachIndex(built);
   return built;
 }
 
 std::shared_ptr<const ReachIndex> ReachIndex::Build(
-    const TripleSet& base, const ExecOptions& exec,
-    const ReachIndexOptions& opts) {
+    const TripleSet& base, const ReachIndexOptions& opts) {
   const uint64_t t0 = MonotonicNanos();
   std::shared_ptr<ReachIndex> idx(new ReachIndex());
   const std::vector<Triple>& spo = base.triples();
@@ -163,121 +152,98 @@ std::shared_ptr<const ReachIndex> ReachIndex::Build(
   // ---- SCC member lists, grouped by pid ------------------------------
   //
   // Filling in dense-ascending order keeps each group sorted by raw id
-  // (dense order == raw order), which EmitStar's run expansion relies
-  // on.
+  // (dense order == raw order), which the closures rely on.
   idx->members_off_.assign(nscc + 1, 0);
   for (uint32_t d = 0; d < n; ++d) ++idx->members_off_[idx->comp_[d] + 1];
   for (uint32_t p = 1; p <= nscc; ++p) {
     idx->members_off_[p] += idx->members_off_[p - 1];
   }
-  idx->members_.resize(n);
+  std::vector<uint32_t> dense_members(n);
   {
     std::vector<uint32_t> cursor(idx->members_off_.begin(),
                                  idx->members_off_.end() - 1);
     for (uint32_t d = 0; d < n; ++d) {
-      idx->members_[cursor[idx->comp_[d]]++] = ids.Raw(d);
+      dense_members[cursor[idx->comp_[d]]++] = d;
     }
+  }
+  idx->members_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    idx->members_[i] = ids.Raw(dense_members[i]);
   }
 
   // ---- condensation adjacency (pid CSR) ------------------------------
+  //
+  // One pass over the pids in order; a per-target stamp drops parallel
+  // edges without sorting them.
+  idx->dag_off_.assign(nscc + 1, 0);
   {
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    for (uint32_t u = 0; u < n; ++u) {
-      const uint32_t cu = idx->comp_[u];
-      for (uint32_t e = g.off[u]; e < g.off[u + 1]; ++e) {
-        const uint32_t cv = idx->comp_[g.to[e]];
-        if (cu != cv) edges.emplace_back(cu, cv);
+    std::vector<uint32_t> stamp(nscc, kNoNode);
+    for (uint32_t p = 0; p < nscc; ++p) {
+      for (uint32_t i = idx->members_off_[p]; i < idx->members_off_[p + 1];
+           ++i) {
+        const uint32_t u = dense_members[i];
+        for (uint32_t e = g.off[u]; e < g.off[u + 1]; ++e) {
+          const uint32_t q = idx->comp_[g.to[e]];
+          if (q != p && stamp[q] != p) {
+            stamp[q] = p;
+            idx->dag_to_.push_back(q);
+          }
+        }
       }
+      idx->dag_off_[p + 1] = static_cast<uint32_t>(idx->dag_to_.size());
     }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    idx->dag_off_.assign(nscc + 1, 0);
-    for (const auto& e : edges) ++idx->dag_off_[e.first + 1];
-    for (uint32_t p = 1; p <= nscc; ++p) {
-      idx->dag_off_[p] += idx->dag_off_[p - 1];
-    }
-    idx->dag_to_.reserve(edges.size());
-    for (const auto& e : edges) idx->dag_to_.push_back(e.second);
   }
 
   // ---- interval labeling ---------------------------------------------
   //
   // Every condensation edge points to a smaller pid, so an ascending
-  // sweep sees all successors before their predecessor.  For parallel
-  // construction the sweep is layered by longest-path-to-sink level:
-  // within one level no node depends on another, so a level's merges
-  // run concurrently and the result is independent of scheduling.
-  std::vector<std::vector<Iv>> ivs(nscc);
-  {
-    std::vector<uint32_t> level(nscc, 0);
-    uint32_t max_level = 0;
-    for (uint32_t p = 0; p < nscc; ++p) {
-      uint32_t lv = 0;
-      for (uint32_t e = idx->dag_off_[p]; e < idx->dag_off_[p + 1]; ++e) {
-        lv = std::max(lv, level[idx->dag_to_[e]] + 1);
-      }
-      level[p] = lv;
-      max_level = std::max(max_level, lv);
-    }
-    std::vector<std::vector<uint32_t>> buckets(
-        static_cast<size_t>(max_level) + 1);
-    for (uint32_t p = 0; p < nscc; ++p) buckets[level[p]].push_back(p);
-
-    auto build_node = [&](uint32_t p, std::vector<Iv>* scratch) {
-      scratch->clear();
-      scratch->push_back({p, p, 1});
-      for (uint32_t e = idx->dag_off_[p]; e < idx->dag_off_[p + 1]; ++e) {
-        const std::vector<Iv>& sv = ivs[idx->dag_to_[e]];
-        scratch->insert(scratch->end(), sv.begin(), sv.end());
-      }
-      Coalesce(*scratch, &ivs[p]);
-      ApplyBudget(&ivs[p], opts.interval_budget);
-    };
-    const size_t threads = exec.EffectiveThreads();
-    for (const std::vector<uint32_t>& bucket : buckets) {
-      if (exec.ShouldParallelize(bucket.size())) {
-        std::vector<ChunkRange> chunks = SplitEven(bucket.size(), threads);
-        ParallelFor(chunks.size(), threads, [&](size_t c) {
-          std::vector<Iv> scratch;
-          for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
-            build_node(bucket[i], &scratch);
-          }
-        });
-      } else {
-        std::vector<Iv> scratch;
-        for (uint32_t p : bucket) build_node(p, &scratch);
-      }
-    }
-  }
-
-  // ---- flatten + derived stats ---------------------------------------
+  // sweep sees each successor's final interval set before its
+  // predecessors and appends every pid's set to the flat array in pid
+  // order.
   idx->iv_off_.assign(nscc + 1, 0);
-  for (uint32_t p = 0; p < nscc; ++p) {
-    idx->iv_off_[p + 1] = idx->iv_off_[p] +
-                          static_cast<uint32_t>(ivs[p].size());
-  }
-  const size_t total_ivs = idx->iv_off_[nscc];
-  idx->iv_lo_.reserve(total_ivs);
-  idx->iv_hi_.reserve(total_ivs);
-  idx->iv_exact_.reserve(total_ivs);
   idx->pid_exact_.assign(nscc, 1);
   idx->closure_size_.assign(nscc, 0);
-  for (uint32_t p = 0; p < nscc; ++p) {
-    for (const Iv& iv : ivs[p]) {
-      idx->iv_lo_.push_back(iv.lo);
-      idx->iv_hi_.push_back(iv.hi);
-      idx->iv_exact_.push_back(iv.exact);
-      if (!iv.exact) {
-        idx->pid_exact_[p] = 0;
-        idx->exact_ = false;
+  idx->ivs_.reserve(nscc);
+  {
+    std::vector<Iv> scratch, merged;
+    for (uint32_t p = 0; p < nscc; ++p) {
+      if (idx->dag_off_[p] == idx->dag_off_[p + 1]) {
+        idx->ivs_.push_back({p, p, 1});  // a sink reaches only itself
+      } else {
+        // Successor sets first, then [p, p] (p exceeds every successor
+        // pid): a single successor, or successors in ascending pid
+        // order, leave the scratch already sorted.
+        scratch.clear();
+        for (uint32_t e = idx->dag_off_[p]; e < idx->dag_off_[p + 1]; ++e) {
+          const uint32_t q = idx->dag_to_[e];
+          scratch.insert(scratch.end(), idx->ivs_.begin() + idx->iv_off_[q],
+                         idx->ivs_.begin() + idx->iv_off_[q + 1]);
+        }
+        scratch.push_back({p, p, 1});
+        Coalesce(scratch, &merged);
+        ApplyBudget(&merged, opts.interval_budget);
+        idx->ivs_.insert(idx->ivs_.end(), merged.begin(), merged.end());
       }
-      idx->closure_size_[p] += idx->members_off_[iv.hi + 1] -
-                               idx->members_off_[iv.lo];
+      idx->iv_off_[p + 1] = static_cast<uint32_t>(idx->ivs_.size());
+      for (uint32_t i = idx->iv_off_[p]; i < idx->iv_off_[p + 1]; ++i) {
+        const Iv& iv = idx->ivs_[i];
+        if (!iv.exact) {
+          idx->pid_exact_[p] = 0;
+          idx->exact_ = false;
+        }
+        idx->closure_size_[p] += idx->members_off_[iv.hi + 1] -
+                                 idx->members_off_[iv.lo];
+      }
     }
   }
+
+  // ---- per-triple object pids + output bound -------------------------
+  idx->obj_pid_.resize(spo.size());
   uint64_t rows = 0;
-  for (const Triple& t : spo) {
-    rows += idx->closure_size_[idx->comp_[ids.Dense(t.o)]];
+  for (size_t i = 0; i < spo.size(); ++i) {
+    const uint32_t q = idx->comp_[g.to[i]];
+    idx->obj_pid_[i] = q;
+    rows += idx->closure_size_[q];
   }
   idx->star_rows_ = rows;
 
@@ -291,12 +257,14 @@ std::shared_ptr<const ReachIndex> ReachIndex::Build(
 }
 
 ptrdiff_t ReachIndex::FindCovering(uint32_t p, uint32_t t) const {
-  const auto first = iv_lo_.begin() + iv_off_[p];
-  const auto last = iv_lo_.begin() + iv_off_[p + 1];
-  auto it = std::upper_bound(first, last, t);
+  const auto first = ivs_.begin() + iv_off_[p];
+  const auto last = ivs_.begin() + iv_off_[p + 1];
+  auto it = std::upper_bound(first, last, t, [](uint32_t v, const Iv& iv) {
+    return v < iv.lo;
+  });
   if (it == first) return -1;
-  const ptrdiff_t i = (it - iv_lo_.begin()) - 1;
-  return iv_hi_[i] >= t ? i : -1;
+  const ptrdiff_t i = (it - ivs_.begin()) - 1;
+  return ivs_[i].hi >= t ? i : -1;
 }
 
 bool ReachIndex::DfsReaches(uint32_t cf, uint32_t ct) const {
@@ -316,7 +284,7 @@ bool ReachIndex::DfsReaches(uint32_t cf, uint32_t ct) const {
       if (visited[w]) continue;
       const ptrdiff_t iv = FindCovering(w, ct);
       if (iv < 0) continue;
-      if (iv_exact_[iv]) return true;
+      if (ivs_[iv].exact) return true;
       visited[w] = 1;
       stack.push_back(w);
     }
@@ -333,61 +301,91 @@ bool ReachIndex::Reaches(ObjId from, ObjId to) const {
   if (cf == ct) return true;  // same SCC
   const ptrdiff_t iv = FindCovering(cf, ct);
   if (iv < 0) return false;          // not even over-approximated
-  if (iv_exact_[iv]) return true;    // exact interval: definite
+  if (ivs_[iv].exact) return true;   // exact interval: definite
   return DfsReaches(cf, ct);
+}
+
+void ReachIndex::ReachablePids(uint32_t p, std::vector<uint8_t>* visited,
+                               std::vector<uint32_t>* seen) const {
+  // Breadth-first, with `seen` as the queue.
+  const size_t first = seen->size();
+  seen->push_back(p);
+  (*visited)[p] = 1;
+  for (size_t i = first; i < seen->size(); ++i) {
+    const uint32_t u = (*seen)[i];
+    for (uint32_t e = dag_off_[u]; e < dag_off_[u + 1]; ++e) {
+      const uint32_t w = dag_to_[e];
+      if ((*visited)[w]) continue;
+      (*visited)[w] = 1;
+      seen->push_back(w);
+    }
+  }
+  for (size_t i = first; i < seen->size(); ++i) (*visited)[(*seen)[i]] = 0;
 }
 
 void ReachIndex::EnsureClosures(const ExecOptions& exec) const {
   std::call_once(closures_once_, [&] {
-    std::vector<std::vector<ObjId>> cl(num_sccs_);
-    auto build_range = [&](size_t begin, size_t end) {
-      std::vector<uint32_t> stack, seen;
-      std::vector<uint8_t> visited;  // sized lazily: approx pids only
+    // Sizes first, for the object pids only: an exact pid knows its
+    // closure size, an approximate one recovers its reachable pid set
+    // by condensation DFS (budgeted indexes only).
+    std::vector<uint8_t> needed(num_sccs_, 0);
+    for (uint32_t q : obj_pid_) needed[q] = 1;
+    closure_off_.assign(num_sccs_ + 1, 0);
+    {
+      std::vector<uint8_t> visited(exact_ ? 0 : num_sccs_, 0);
+      std::vector<uint32_t> seen;
+      for (uint32_t p = 0; p < num_sccs_; ++p) {
+        size_t size = 0;
+        if (needed[p] && pid_exact_[p]) {
+          size = closure_size_[p];
+        } else if (needed[p]) {
+          seen.clear();
+          ReachablePids(p, &visited, &seen);
+          for (uint32_t u : seen) {
+            size += members_off_[u + 1] - members_off_[u];
+          }
+        }
+        closure_off_[p + 1] = closure_off_[p] + size;
+      }
+    }
+    closure_ids_.resize(closure_off_[num_sccs_]);
+
+    // Then each closure fills its own slice: one member run per
+    // interval (exact) or per reachable pid (approximate), sorted.
+    auto fill = [&](size_t begin, size_t end) {
+      std::vector<uint8_t> visited;
+      std::vector<uint32_t> seen;
       for (size_t p = begin; p < end; ++p) {
-        std::vector<ObjId>& out = cl[p];
+        if (closure_off_[p] == closure_off_[p + 1]) continue;
+        ObjId* const first = closure_ids_.data() + closure_off_[p];
+        ObjId* out = first;
+        auto append = [&](uint32_t lo, uint32_t hi) {
+          out = std::copy(members_.begin() + members_off_[lo],
+                          members_.begin() + members_off_[hi + 1], out);
+        };
         if (pid_exact_[p]) {
-          // Exact interval set: the closure is the concatenation of one
-          // contiguous member run per interval.
-          out.reserve(closure_size_[p]);
           for (uint32_t i = iv_off_[p]; i < iv_off_[p + 1]; ++i) {
-            out.insert(out.end(), members_.begin() + members_off_[iv_lo_[i]],
-                       members_.begin() + members_off_[iv_hi_[i] + 1]);
+            append(ivs_[i].lo, ivs_[i].hi);
           }
         } else {
-          // Approximate pid: recover the exact reachable pid set by
-          // condensation DFS, then expand members.
           if (visited.empty()) visited.assign(num_sccs_, 0);
-          stack.assign(1, static_cast<uint32_t>(p));
-          seen.assign(1, static_cast<uint32_t>(p));
-          visited[p] = 1;
-          while (!stack.empty()) {
-            const uint32_t u = stack.back();
-            stack.pop_back();
-            out.insert(out.end(), members_.begin() + members_off_[u],
-                       members_.begin() + members_off_[u + 1]);
-            for (uint32_t e = dag_off_[u]; e < dag_off_[u + 1]; ++e) {
-              const uint32_t w = dag_to_[e];
-              if (visited[w]) continue;
-              visited[w] = 1;
-              seen.push_back(w);
-              stack.push_back(w);
-            }
-          }
-          for (uint32_t u : seen) visited[u] = 0;
+          seen.clear();
+          ReachablePids(static_cast<uint32_t>(p), &visited, &seen);
+          for (uint32_t u : seen) append(u, u);
         }
-        std::sort(out.begin(), out.end());
+        if (out - first > 1) std::sort(first, out);
       }
     };
-    if (exec.ShouldParallelize(num_sccs_)) {
+    if (exec.ShouldParallelize(closure_ids_.size())) {
       const size_t threads = exec.EffectiveThreads();
-      std::vector<ChunkRange> chunks = SplitEven(num_sccs_, threads);
+      std::vector<ChunkRange> chunks =
+          SplitEven(num_sccs_, threads * kChunksPerThread);
       ParallelFor(chunks.size(), threads, [&](size_t c) {
-        build_range(chunks[c].begin, chunks[c].end);
+        fill(chunks[c].begin, chunks[c].end);
       });
     } else {
-      build_range(0, num_sccs_);
+      fill(0, num_sccs_);
     }
-    closures_ = std::move(cl);
   });
 }
 
@@ -398,14 +396,18 @@ Result<TripleSet> ReachIndex::EmitStar(const TripleSet& base,
   if (spo.empty()) return TripleSet();
   EnsureClosures(exec);
 
-  auto closure_of = [&](ObjId o) -> const std::vector<ObjId>& {
-    return closures_[comp_[ids_.Dense(o)]];
+  // The closure of base triple i's object, as a sorted id range.
+  auto closure_begin = [&](size_t i) {
+    return closure_ids_.data() + closure_off_[obj_pid_[i]];
   };
-  // Emits [begin, end) — which must start and end at (s, p) group
-  // boundaries — appending sorted-unique triples.  `guard` sees the
-  // running output size after each group; false aborts.
-  auto emit_chunk = [&](size_t begin, size_t end, std::vector<Triple>* out,
-                        const auto& guard) {
+  auto closure_end = [&](size_t i) {
+    return closure_ids_.data() + closure_off_[obj_pid_[i] + 1];
+  };
+  // Emits the rows of base triples [begin, end) — which must start and
+  // end at (s, p) group boundaries — sorted-unique through `put`.
+  // `group_done` runs after each group; false aborts.
+  auto emit_range = [&](size_t begin, size_t end, const auto& put,
+                        const auto& group_done) {
     std::vector<ObjId> scratch;
     size_t i = begin;
     while (i < end) {
@@ -414,86 +416,68 @@ Result<TripleSet> ReachIndex::EmitStar(const TripleSet& base,
       const ObjId s = spo[i].s, p = spo[i].p;
       if (j - i == 1) {
         // Single object: its sorted closure is the group's output run.
-        for (ObjId l : closure_of(spo[i].o)) out->push_back({s, p, l});
+        for (const ObjId* l = closure_begin(i); l != closure_end(i); ++l) {
+          put(Triple{s, p, *l});
+        }
       } else {
         // Multiple objects: merge their (possibly overlapping) sorted
         // closures, then dedup.
-        const std::vector<ObjId>& first = closure_of(spo[i].o);
-        scratch.assign(first.begin(), first.end());
+        scratch.assign(closure_begin(i), closure_end(i));
         for (size_t k = i + 1; k < j; ++k) {
-          const std::vector<ObjId>& c = closure_of(spo[k].o);
           const size_t mid = scratch.size();
-          scratch.insert(scratch.end(), c.begin(), c.end());
+          scratch.insert(scratch.end(), closure_begin(k), closure_end(k));
           std::inplace_merge(scratch.begin(), scratch.begin() + mid,
                              scratch.end());
         }
         scratch.erase(std::unique(scratch.begin(), scratch.end()),
                       scratch.end());
-        for (ObjId l : scratch) out->push_back({s, p, l});
+        for (ObjId l : scratch) put(Triple{s, p, l});
       }
-      if (!guard(out->size())) return false;
+      if (!group_done()) return false;
       i = j;
     }
     return true;
   };
+  auto no_guard = [] { return true; };
 
-  if (exec.ShouldParallelize(spo.size())) {
+  // star_rows_ bounds the output from above, so within the guard the
+  // parallel path needs no guard of its own.
+  if (star_rows_ <= max_result_triples && exec.ShouldParallelize(spo.size())) {
+    // Chunks of about equal output, snapped forward to (s, p) group
+    // ends so that their outputs concatenate in order to the sorted-
+    // unique result.
     const size_t threads = exec.EffectiveThreads();
-    // Chunk boundaries snapped forward to (s, p) group ends: chunk
-    // outputs then concatenate in order to the globally sorted-unique
-    // result, for any thread count.
+    const uint64_t target = star_rows_ / (threads * kChunksPerThread) + 1;
     std::vector<size_t> bounds(1, 0);
-    for (const ChunkRange& c : SplitEven(spo.size(), threads * kChunksPerThread)) {
-      size_t e = c.end;
-      while (e < spo.size() && spo[e].s == spo[e - 1].s &&
-             spo[e].p == spo[e - 1].p) {
-        ++e;
+    uint64_t rows = 0, cut = 0;
+    for (size_t i = 0; i < spo.size(); ++i) {
+      rows += closure_end(i) - closure_begin(i);
+      const bool last = i + 1 == spo.size();
+      if (last || ((spo[i + 1].s != spo[i].s || spo[i + 1].p != spo[i].p) &&
+                   rows - cut >= target)) {
+        bounds.push_back(i + 1);
+        cut = rows;
       }
-      if (e > bounds.back()) bounds.push_back(e);
     }
     const size_t nchunks = bounds.size() - 1;
-    std::vector<std::vector<Triple>> bufs(nchunks);
-    std::atomic<size_t> emitted{0};
-    std::atomic<bool> overflow{false};
+    // Each chunk writes its own slice of one buffer.  A counting pass
+    // sizes the slices exactly (overlapping closures in a multi-object
+    // group shrink its union), so the slices tile the buffer.
+    std::vector<size_t> slice(nchunks + 1, 0);
     ParallelFor(nchunks, threads, [&](size_t c) {
-      std::vector<Triple>* out = &bufs[c];
-      // Near-exact per-chunk bound (over-counts only overlapping
-      // multi-object groups) right-sizes the buffer.
-      uint64_t bound = 0;
-      for (size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
-        bound += closure_size_[comp_[ids_.Dense(spo[i].o)]];
-      }
-      out->reserve(static_cast<size_t>(
-          std::min<uint64_t>(bound, kEmitReserveCap)));
-      size_t flushed = 0;
-      emit_chunk(bounds[c], bounds[c + 1], out, [&](size_t produced) {
-        if (overflow.load(std::memory_order_relaxed)) return false;
-        if (produced - flushed >= kGuardStride) {
-          const size_t total =
-              emitted.fetch_add(produced - flushed,
-                                std::memory_order_relaxed) +
-              (produced - flushed);
-          flushed = produced;
-          if (total > max_result_triples) {
-            overflow.store(true, std::memory_order_relaxed);
-            return false;
-          }
-        }
-        return true;
-      });
-      emitted.fetch_add(out->size() - flushed, std::memory_order_relaxed);
+      size_t n = 0;
+      emit_range(bounds[c], bounds[c + 1], [&](const Triple&) { ++n; },
+                 no_guard);
+      slice[c + 1] = n;
     });
-    size_t total = 0;
-    for (const std::vector<Triple>& b : bufs) total += b.size();
-    if (overflow.load() || total > max_result_triples) {
-      return Status::ResourceExhausted("star result too large");
-    }
-    std::vector<Triple> merged;
-    merged.reserve(total);
-    for (std::vector<Triple>& b : bufs) {
-      merged.insert(merged.end(), b.begin(), b.end());
-    }
-    return TripleSet::FromSortedUnique(std::move(merged));
+    for (size_t c = 0; c < nchunks; ++c) slice[c + 1] += slice[c];
+    std::vector<Triple> out(slice[nchunks]);
+    ParallelFor(nchunks, threads, [&](size_t c) {
+      Triple* w = out.data() + slice[c];
+      emit_range(bounds[c], bounds[c + 1], [&](const Triple& t) { *w++ = t; },
+                 no_guard);
+    });
+    return TripleSet::FromSortedUnique(std::move(out));
   }
 
   std::vector<Triple> out;
@@ -504,11 +488,9 @@ Result<TripleSet> ReachIndex::EmitStar(const TripleSet& base,
           ? static_cast<uint64_t>(max_result_triples) + 1
           : kEmitReserveCap;
   out.reserve(static_cast<size_t>(std::min(star_rows_, guard_cap)));
-  bool fits = true;
-  emit_chunk(0, spo.size(), &out, [&](size_t produced) {
-    fits = produced <= max_result_triples;
-    return fits;
-  });
+  const bool fits = emit_range(
+      0, spo.size(), [&](const Triple& t) { out.push_back(t); },
+      [&] { return out.size() <= max_result_triples; });
   if (!fits) return Status::ResourceExhausted("star result too large");
   return TripleSet::FromSortedUnique(std::move(out));
 }

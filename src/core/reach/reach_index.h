@@ -18,19 +18,19 @@
 // result approximate: an approximate hit falls back to a DFS over the
 // condensation pruned by the (sound, over-approximating) interval sets.
 //
-// The per-level interval merges are independent given the previous
-// levels, so construction parallelizes over the pool (util/parallel.h)
-// and is deterministic at any thread count.  Built indexes are cached
-// on the TripleSet's shared index-cache cell (GetOrBuild), giving them
-// the permutation indexes' lifecycle: shared between copies, dropped
-// when a mutation detaches the mutated set onto a fresh cell.
+// Construction is one serial sweep over flat arrays.  Built indexes are
+// cached on the TripleSet's shared index-cache cell (GetOrBuild), giving
+// them the permutation indexes' lifecycle: shared between copies,
+// dropped when a mutation detaches the mutated set onto a fresh cell.
 //
 // EmitStar materializes the full arbitrary-path star
 // (R JOIN[1,2,3'; 3=1'])* — byte-identical to Procedure 3
-// (core/fast_reach.h) and the naive fixpoint at any thread count — by
-// expanding memoized per-SCC closures instead of running a DFS per
-// source: for an exact index a closure is a handful of contiguous runs
-// of the pid-grouped member array, one per interval.
+// (core/fast_reach.h, kept as the test and bench oracle) and the naive
+// fixpoint at any thread count — by expanding memoized sorted closures
+// of the base's object SCCs instead of running a DFS per source: for an
+// exact index a closure is a handful of contiguous runs of the
+// pid-grouped member array, one per interval.  It is the plan's only
+// any-path star operator, cold or warm, over any base.
 
 #ifndef TRIAL_CORE_REACH_REACH_INDEX_H_
 #define TRIAL_CORE_REACH_REACH_INDEX_H_
@@ -59,12 +59,11 @@ struct ReachIndexOptions {
 
 class ReachIndex {
  public:
-  /// Builds the index over `base`'s projected graph.  Deterministic for
-  /// any thread count.  Records reach.index_builds / reach.index_build_ns
-  /// when metrics are enabled.
+  /// Builds the index over `base`'s projected graph (serially).
+  /// Records reach.index_builds / reach.index_build_ns when metrics are
+  /// enabled.
   static std::shared_ptr<const ReachIndex> Build(
-      const TripleSet& base, const ExecOptions& exec,
-      const ReachIndexOptions& opts = {});
+      const TripleSet& base, const ReachIndexOptions& opts = {});
 
   /// The index attached to `base`'s cache cell, or nullptr.  Never
   /// builds.  A mutation of `base` since the attach returns nullptr
@@ -75,8 +74,7 @@ class ReachIndex {
   /// its cache cell — including the store relation it was copied from —
   /// see the attached index immediately.
   static std::shared_ptr<const ReachIndex> GetOrBuild(
-      const TripleSet& base, const ExecOptions& exec,
-      const ReachIndexOptions& opts = {});
+      const TripleSet& base, const ReachIndexOptions& opts = {});
 
   /// Reflexive-transitive reachability over the projected graph.  Ids
   /// absent from the graph reach exactly themselves.
@@ -99,9 +97,17 @@ class ReachIndex {
   /// True when every interval is exact (always true for budget 0).
   bool exact() const { return exact_; }
 
+  /// An interval over pid space (the condensation's postorder).
+  /// `exact` means every pid in [lo, hi] is reachable; an inexact one
+  /// over-approximates.
+  struct Interval {
+    uint32_t lo, hi;
+    uint8_t exact;
+  };
+
   size_t num_nodes() const { return ids_.size(); }
   size_t num_sccs() const { return num_sccs_; }
-  size_t num_intervals() const { return iv_lo_.size(); }
+  size_t num_intervals() const { return ivs_.size(); }
   uint64_t build_ns() const { return build_ns_; }
 
  private:
@@ -111,8 +117,14 @@ class ReachIndex {
   ptrdiff_t FindCovering(uint32_t p, uint32_t t) const;
   /// Pruned DFS over the condensation: can SCC `cf` reach SCC `ct`?
   bool DfsReaches(uint32_t cf, uint32_t ct) const;
-  /// Memoized per-SCC sorted closures (raw ids), built on first
-  /// EmitStar.  Thread-safe via call_once; parallel inside.
+  /// Appends the pids reachable from `p` (itself included) to `seen`
+  /// by condensation DFS; `visited` is num_sccs_ zeros on entry and on
+  /// return.
+  void ReachablePids(uint32_t p, std::vector<uint8_t>* visited,
+                     std::vector<uint32_t>* seen) const;
+  /// Memoized sorted closures (raw ids) of the pids EmitStar reads —
+  /// those of object nodes — built on first EmitStar.  Thread-safe via
+  /// call_once; parallel inside.
   void EnsureClosures(const ExecOptions& exec) const;
 
   NodeMap ids_;
@@ -127,12 +139,11 @@ class ReachIndex {
   // Per-pid interval sets over pid space, sorted by lo, disjoint and
   // non-adjacent after coalescing.
   std::vector<uint32_t> iv_off_;  // num_sccs_ + 1
-  std::vector<uint32_t> iv_lo_, iv_hi_;
-  std::vector<uint8_t> iv_exact_;
+  std::vector<Interval> ivs_;
   std::vector<uint8_t> pid_exact_;  // all of pid's intervals exact
 
-  // Condensation adjacency (pid-space CSR, sorted + deduped; every
-  // edge goes to a smaller pid).
+  // Condensation adjacency (pid-space CSR, deduped; every edge goes to
+  // a smaller pid).
   std::vector<uint32_t> dag_off_;
   std::vector<uint32_t> dag_to_;
 
@@ -140,12 +151,18 @@ class ReachIndex {
   // itself included).  Upper bound for approximate pids.
   std::vector<uint64_t> closure_size_;
 
+  // Pid of each base triple's object, by SPO position.
+  std::vector<uint32_t> obj_pid_;
+
   uint64_t star_rows_ = 0;
   bool exact_ = true;
   uint64_t build_ns_ = 0;
 
+  // Closure of pid p: closure_ids_[closure_off_[p], closure_off_[p+1]),
+  // empty for pids that are no object's.
   mutable std::once_flag closures_once_;
-  mutable std::vector<std::vector<ObjId>> closures_;
+  mutable std::vector<size_t> closure_off_;
+  mutable std::vector<ObjId> closure_ids_;
 };
 
 }  // namespace reach

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/builder.h"
 #include "core/eval.h"
 #include "core/fast_reach.h"
@@ -287,19 +289,24 @@ TEST(EvalGuards, UniverseGuard) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
-// The Procedure 3/4 route honours the result-size guard like every
-// other operator, at every thread count.
+// The reach-star routes — the interval index for the any-path star
+// over a derived base, Procedure 4 for the same-middle one — honour the
+// result-size guard like every other operator, at every thread count.
 TEST(EvalGuards, ReachFastPathGuard) {
   TripleStore store;
   const char* chain[] = {"a", "b", "c", "d", "e", "f"};
   for (int i = 0; i + 1 < 6; ++i) store.Add("E", chain[i], "r", chain[i + 1]);
   store.Add("E", "f", "x", "a");
-  for (const char* text : {"(sigma[2!=\"x\"](E) JOIN[1,2,3'; 3=1'])*",
-                           "(sigma[2!=\"x\"](E) JOIN[1,2,3'; 3=1', 2=2'])*"}) {
+  const std::pair<const char*, plan::PlanOp> cases[] = {
+      {"(sigma[2!=\"x\"](E) JOIN[1,2,3'; 3=1'])*",
+       plan::PlanOp::kReachIndexScan},
+      {"(sigma[2!=\"x\"](E) JOIN[1,2,3'; 3=1', 2=2'])*",
+       plan::PlanOp::kReachFastPath}};
+  for (const auto& [text, route] : cases) {
     Result<ExprPtr> e = ParseTriAL(text, &store);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
     plan::PlanPtr p = plan::PlanExpr(*e, store);
-    ASSERT_EQ(p->op, plan::PlanOp::kReachFastPath) << text;
+    ASSERT_EQ(p->op, route) << text;
     for (size_t threads : std::vector<size_t>{1, 2, 4}) {
       ExecLimits limits;
       limits.exec.num_threads = threads;

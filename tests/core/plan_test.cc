@@ -128,24 +128,23 @@ TEST(PlannerGolden, SelectionAccessPathTracksBoundColumns) {
 
 TEST(PlannerGolden, ReachStarsLowerToFastPath) {
   TripleStore store = SkewedStore(512);
-  // A large store-backed any-path star clears the interval-index
-  // threshold: the estimated output pays for an index build.
+  // An any-path star runs on the interval reachability index.
   PlanPtr a = PlanExpr(ReachAnyPath(Expr::Rel("E")), store);
   ASSERT_EQ(a->op, PlanOp::kReachIndexScan);
   // The reach estimate must exceed the base: the arbitrary-path star is
   // output-bound superlinear, and the estimate makes that visible.
   EXPECT_GT(a->est_rows, a->children[0]->est_rows);
 
-  // A small store stays on the direct fast path — the index build
-  // would dominate a cheap fixpoint.
+  // So does one over a small store: there is no size gate.
   TripleStore tiny = SkewedStore(48);
   PlanPtr a2 = PlanExpr(ReachAnyPath(Expr::Rel("E")), tiny);
-  ASSERT_EQ(a2->op, PlanOp::kReachFastPath);
-  EXPECT_FALSE(a2->reach_same_middle);
+  ASSERT_EQ(a2->op, PlanOp::kReachIndexScan);
 
+  // The same-middle star keeps Procedure 4.
   PlanPtr b = PlanExpr(ReachSameMiddle(Expr::Rel("E")), store);
   ASSERT_EQ(b->op, PlanOp::kReachFastPath);
-  EXPECT_TRUE(b->reach_same_middle);
+  EXPECT_NE(Explain(*b).find("same-middle"), std::string::npos)
+      << Explain(*b);
 
   // A non-reach spec stays a generic fixpoint with a probe order for
   // the fixed side.

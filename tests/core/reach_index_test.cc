@@ -3,21 +3,26 @@
 // byte-identical to Procedure 3 and the naive fixpoint at every thread
 // count (including cyclic SCC-heavy graphs), the index follows the
 // permutation-cache lifecycle (shared between copies, invalidated by
-// mutation), the planner routes warm stars through ReachIndexScan, and
-// DijkstraScan answers weighted shortest paths deterministically.
+// mutation), the planner routes every any-path star through
+// ReachIndexScan — derived bases included — and DijkstraScan answers
+// weighted shortest paths deterministically.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/builder.h"
 #include "core/eval.h"
 #include "core/fast_reach.h"
+#include "core/parser.h"
 #include "core/plan/plan.h"
 #include "core/reach/dijkstra.h"
 #include "core/reach/reach_index.h"
 #include "graph/generators.h"
+#include "loader/bulk_load.h"
+#include "loader/ntriples_writer.h"
 #include "storage/triple_store.h"
 #include "util/rng.h"
 
@@ -100,7 +105,7 @@ TEST(ReachIndexBuild, ChainCycleAndPendant) {
   store.Add(rel, d, p, e);
   const TripleSet& base = *store.FindRelation("E");
 
-  auto idx = ReachIndex::Build(base, Threads(1));
+  auto idx = ReachIndex::Build(base);
   ASSERT_NE(idx, nullptr);
   EXPECT_TRUE(idx->exact());
   EXPECT_EQ(idx->num_nodes(), 5u);  // a..e; p never appears as s or o
@@ -119,11 +124,52 @@ TEST(ReachIndexBuild, ChainCycleAndPendant) {
   EXPECT_FALSE(idx->Reaches(a, p));
 }
 
+TEST(ReachIndexBuild, FewNodesInAHugeIdRange) {
+  // A handful of edges among ids scattered over 200,000 interned
+  // objects: the node map sorts its endpoints (the id range is too wide
+  // for its bitmap) and binary-searches buckets that span thousands of
+  // ids, one of them holding two nodes.
+  TripleStore store;
+  RelId rel = store.AddRelation("E");
+  std::vector<ObjId> ids;
+  for (int i = 0; i < 200'000; ++i) {
+    ObjId id = store.InternObject("x" + std::to_string(i));
+    if (i % 40'000 == 7 || i == 9) ids.push_back(id);
+  }
+  ObjId p = store.InternObject("p");
+  // ids[0] -> ids[1] -> ids[2] -> ids[0] (one SCC), ids[2] -> ids[3],
+  // ids[4] -> ids[3]; ids[5] is no node.
+  store.Add(rel, ids[0], p, ids[1]);
+  store.Add(rel, ids[1], p, ids[2]);
+  store.Add(rel, ids[2], p, ids[0]);
+  store.Add(rel, ids[2], p, ids[3]);
+  store.Add(rel, ids[4], p, ids[3]);
+  const TripleSet& base = *store.FindRelation("E");
+
+  auto idx = ReachIndex::Build(base);
+  EXPECT_EQ(idx->num_nodes(), 5u);
+  EXPECT_EQ(idx->num_sccs(), 3u);
+  for (ObjId s : ids) {
+    std::vector<ObjId> want = BruteReachable(base, s);
+    for (ObjId t : ids) {
+      EXPECT_EQ(idx->Reaches(s, t),
+                std::binary_search(want.begin(), want.end(), t))
+          << "s=" << s << " t=" << t;
+    }
+  }
+  EXPECT_FALSE(idx->Reaches(ids[0], p));
+  auto star = idx->EmitStar(base, Threads(1), 1000);
+  ASSERT_TRUE(star.ok());
+  auto ref = MakeNaiveEvaluator()->Eval(ReachAnyPath(Expr::Rel("E")), store);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(*star, *ref);
+}
+
 TEST(ReachIndexBuild, ReachesMatchesBruteDfs) {
   for (uint64_t seed : {3u, 7u, 19u}) {
     TripleStore store = CyclicStore(seed);
     const TripleSet& base = *store.FindRelation("E");
-    auto idx = ReachIndex::Build(base, Threads(1));
+    auto idx = ReachIndex::Build(base);
     for (ObjId s = 0; s < store.NumObjects(); ++s) {
       std::vector<ObjId> want = BruteReachable(base, s);
       for (ObjId t = 0; t < store.NumObjects(); ++t) {
@@ -144,8 +190,8 @@ TEST(ReachIndexBuild, FiniteBudgetStaysSound) {
   const TripleSet& base = *store.FindRelation("E");
   ReachIndexOptions budget1;
   budget1.interval_budget = 1;
-  auto exact = ReachIndex::Build(base, Threads(1));
-  auto approx = ReachIndex::Build(base, Threads(1), budget1);
+  auto exact = ReachIndex::Build(base);
+  auto approx = ReachIndex::Build(base, budget1);
   EXPECT_TRUE(exact->exact());
   EXPECT_LE(approx->num_intervals(), approx->num_sccs());
   for (ObjId s = 0; s < store.NumObjects(); ++s) {
@@ -153,18 +199,6 @@ TEST(ReachIndexBuild, FiniteBudgetStaysSound) {
       EXPECT_EQ(approx->Reaches(s, t), exact->Reaches(s, t))
           << "s=" << s << " t=" << t;
     }
-  }
-}
-
-TEST(ReachIndexBuild, DeterministicAcrossThreadCounts) {
-  TripleStore store = CyclicStore(11, /*objects=*/80, /*triples=*/400);
-  const TripleSet& base = *store.FindRelation("E");
-  auto one = ReachIndex::Build(base, Threads(1));
-  for (size_t t : {2u, 4u}) {
-    auto idx = ReachIndex::Build(base, Threads(t));
-    EXPECT_EQ(idx->num_sccs(), one->num_sccs());
-    EXPECT_EQ(idx->num_intervals(), one->num_intervals());
-    EXPECT_EQ(idx->star_output_rows(), one->star_output_rows());
   }
 }
 
@@ -181,7 +215,7 @@ TEST(ReachIndexStar, ByteIdenticalToProcedure3AndNaive) {
     ASSERT_TRUE(ref.ok());
     ASSERT_EQ(procedure3, *ref) << "fast path vs naive, seed=" << seed;
     for (size_t threads : {1u, 2u, 4u}) {
-      auto idx = ReachIndex::Build(base, Threads(threads));
+      auto idx = ReachIndex::Build(base);
       auto got = idx->EmitStar(base, Threads(threads), 50'000'000);
       ASSERT_TRUE(got.ok()) << got.status().message();
       EXPECT_EQ(*got, procedure3)
@@ -196,7 +230,7 @@ TEST(ReachIndexStar, ApproximateIndexEmitsIdenticalStar) {
   TripleSet want = StarReachAnyPath(base).value();
   ReachIndexOptions budget1;
   budget1.interval_budget = 1;
-  auto idx = ReachIndex::Build(base, Threads(2), budget1);
+  auto idx = ReachIndex::Build(base, budget1);
   auto got = idx->EmitStar(base, Threads(2), 50'000'000);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, want);
@@ -205,7 +239,7 @@ TEST(ReachIndexStar, ApproximateIndexEmitsIdenticalStar) {
 TEST(ReachIndexStar, OutputBoundAndOverflowGuard) {
   TripleStore store = CyclicStore(4);
   const TripleSet& base = *store.FindRelation("E");
-  auto idx = ReachIndex::Build(base, Threads(1));
+  auto idx = ReachIndex::Build(base);
   TripleSet want = StarReachAnyPath(base).value();
   // star_output_rows is an upper bound on the actual star cardinality.
   EXPECT_GE(idx->star_output_rows(), want.size());
@@ -227,18 +261,18 @@ TEST(ReachIndexCache, SharedBetweenCopiesAndStore) {
   EXPECT_EQ(ReachIndex::Cached(rel), nullptr);
 
   TripleSet copy = rel;  // shares the index-cache cell
-  auto built = ReachIndex::GetOrBuild(copy, Threads(1));
+  auto built = ReachIndex::GetOrBuild(copy);
   ASSERT_NE(built, nullptr);
   // The store's relation sees the index built through the copy, and
   // GetOrBuild returns the same instance instead of rebuilding.
   EXPECT_EQ(ReachIndex::Cached(rel), built);
-  EXPECT_EQ(ReachIndex::GetOrBuild(rel, Threads(1)), built);
+  EXPECT_EQ(ReachIndex::GetOrBuild(rel), built);
 }
 
 TEST(ReachIndexCache, MutationInvalidates) {
   TripleStore store = CyclicStore(6);
   TripleSet* rel = store.MutableRelation("E");
-  auto built = ReachIndex::GetOrBuild(*rel, Threads(1));
+  auto built = ReachIndex::GetOrBuild(*rel);
   ASSERT_NE(built, nullptr);
   ASSERT_EQ(ReachIndex::Cached(*rel), built);
 
@@ -248,7 +282,7 @@ TEST(ReachIndexCache, MutationInvalidates) {
               store.InternObject("zz2"));
   EXPECT_EQ(ReachIndex::Cached(*rel), nullptr);
   // A rebuild over the mutated set answers for the new triples.
-  auto fresh = ReachIndex::GetOrBuild(*rel, Threads(1));
+  auto fresh = ReachIndex::GetOrBuild(*rel);
   ASSERT_NE(fresh, nullptr);
   EXPECT_NE(fresh, built);
   EXPECT_TRUE(fresh->Reaches(store.FindObject("zz1"),
@@ -258,14 +292,14 @@ TEST(ReachIndexCache, MutationInvalidates) {
 // ---- planner routing + plan execution ---------------------------------
 
 TEST(ReachIndexPlan, WarmIndexRoutesToIndexScan) {
-  TripleStore store = CyclicStore(8);  // small: cold estimate stays low
+  TripleStore store = CyclicStore(8);  // small: no size gate either way
   for (RelId r = 0; r < store.NumRelations(); ++r) store.RelationStats(r);
   ExprPtr star = ReachAnyPath(Expr::Rel("E"));
 
   PlanPtr cold = PlanExpr(star, store);
-  ASSERT_EQ(cold->op, PlanOp::kReachFastPath) << Explain(*cold);
+  ASSERT_EQ(cold->op, PlanOp::kReachIndexScan) << Explain(*cold);
 
-  auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"), Threads(1));
+  auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"));
   PlanPtr warm = PlanExpr(star, store);
   ASSERT_EQ(warm->op, PlanOp::kReachIndexScan) << Explain(*warm);
   // The warm plan's estimate is the index's exact output bound.
@@ -303,21 +337,112 @@ TEST(ReachIndexPlan, ExecutionWarmsTheStoreRelation) {
   EXPECT_NE(ReachIndex::Cached(*store.FindRelation("E")), nullptr);
 }
 
-TEST(ReachIndexPlan, FixpointReserveUsesIndexCardinality) {
-  // Satellite: a FixpointStar over a reach-A spec sizes its per-chunk
-  // segment reserve from the warm index's output bound.  Force the
-  // generic fixpoint (the planner would route to the index) and pin
-  // byte-identity with the reserve hint active.
-  TripleStore store = CyclicStore(17);
-  auto idx = ReachIndex::GetOrBuild(*store.FindRelation("E"), Threads(1));
-  ASSERT_NE(idx, nullptr);
-  PlanPtr p = PlanExpr(ReachAnyPath(Expr::Rel("E")), store);
-  p->op = PlanOp::kFixpointStar;  // bypass the routing, keep spec + child
-  for (size_t threads : {1u, 4u}) {
-    auto r = ExecutePlan(*p, store, Limits(threads));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, StarReachAnyPath(*store.FindRelation("E")).value());
+// ---- derived bases -----------------------------------------------------
+//
+// Every any-path star plans as ReachIndexScan and builds its index cold
+// when its base has none.  These bases are query results, not store
+// relations: predicate subgraphs of a bulk-loaded Zipf store, whose ids
+// are spread thinly over the store's id space, and unions and joins of
+// them.
+
+std::string PredSubgraph(int rank) {
+  return "sigma[2=\"http://db.example.org/p" + std::to_string(rank) +
+         "\"](E)";
+}
+
+// Whether the base's node ids are sparse in the store's id space: the
+// largest id exceeds four times the node count (plus slack), so the
+// NodeMap's buckets each span several ids.
+bool SparseIds(const TripleSet& base) {
+  std::vector<ObjId> nodes;
+  for (const Triple& t : base) {
+    nodes.push_back(t.s);
+    nodes.push_back(t.o);
   }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  return !nodes.empty() && nodes.back() + 1 > 4 * nodes.size() + 1024;
+}
+
+// Plans the any-path star over `base_text` and checks it against the
+// naive evaluator and the Procedure 3 oracle at 1, 2 and 4 threads,
+// plus the result guard one row short of the answer.
+void CheckDerivedStar(const TripleStore& store, const std::string& base_text,
+                      bool sparse) {
+  SCOPED_TRACE(base_text);
+  auto naive = MakeNaiveEvaluator();
+  Result<ExprPtr> base_expr = ParseTriAL(base_text, &store);
+  ASSERT_TRUE(base_expr.ok()) << base_expr.status().ToString();
+  Result<TripleSet> base = naive->Eval(*base_expr, store);
+  ASSERT_TRUE(base.ok());
+  ASSERT_GT(base->size(), 0u);
+  EXPECT_EQ(SparseIds(*base), sparse);
+
+  ExprPtr star = ReachAnyPath(*base_expr);
+  TripleSet want = StarReachAnyPath(*base).value();
+  Result<TripleSet> ref = naive->Eval(star, store);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_EQ(*ref, want) << "Procedure 3 vs naive";
+  ASSERT_GT(want.size(), base->size());  // some paths are longer than one
+
+  PlanPtr p = PlanExpr(star, store);
+  ASSERT_EQ(p->op, PlanOp::kReachIndexScan) << Explain(*p);
+  for (size_t threads : {1u, 2u, 4u}) {
+    ExecLimits limits = Limits(threads);
+    Result<TripleSet> got = ExecutePlan(*p, store, limits);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want) << "threads=" << threads;
+    limits.max_result_triples = want.size() - 1;
+    Result<TripleSet> over = ExecutePlan(*p, store, limits);
+    ASSERT_FALSE(over.ok()) << "threads=" << threads;
+    EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
+TEST(ReachIndexDerived, ZipfPredicateSubgraphsUnionsAndJoins) {
+  // The bgp_mix shape: a bulk-loaded store with Zipf-skewed predicates.
+  // Its predicate subgraphs are forests of singleton SCCs.
+  SyntheticNTriplesOptions gen;
+  gen.num_triples = 100'000;
+  gen.zipf_p = 1.2;
+  gen.seed = 7;
+  Result<TripleStore> store = BulkLoadNTriples(SyntheticNTriples(gen));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  CheckDerivedStar(*store, PredSubgraph(20), /*sparse=*/true);
+  CheckDerivedStar(*store, PredSubgraph(6), /*sparse=*/true);
+  CheckDerivedStar(*store,
+                   "(" + PredSubgraph(6) + " u " + PredSubgraph(9) + ")",
+                   /*sparse=*/true);
+  CheckDerivedStar(*store,
+                   "(" + PredSubgraph(3) + " JOIN[1,2,3'; 3=1'] " +
+                       PredSubgraph(3) + ")",
+                   /*sparse=*/true);
+}
+
+TEST(ReachIndexDerived, CyclicSparseSubgraph) {
+  // Skewed subjects and objects close cycles inside one predicate's
+  // subgraph, which still touches few of the store's 6,000 ids.
+  RandomStoreOptions opts;
+  opts.num_objects = 6000;
+  opts.num_triples = 4000;
+  opts.zipf_s = 0.8;
+  opts.zipf_p = 1.6;
+  opts.zipf_o = 0.8;
+  opts.seed = 3;
+  TripleStore store = RandomTripleStore(opts);
+  const std::string o1 = "sigma[2=\"o1\"](E)";
+  Result<ExprPtr> o1_expr = ParseTriAL(o1, &store);
+  ASSERT_TRUE(o1_expr.ok());
+  Result<TripleSet> o1_base = MakeNaiveEvaluator()->Eval(*o1_expr, store);
+  ASSERT_TRUE(o1_base.ok());
+  auto idx = ReachIndex::Build(*o1_base);
+  ASSERT_LT(idx->num_sccs(), idx->num_nodes()) << "no cycle to contract";
+
+  CheckDerivedStar(store, o1, /*sparse=*/true);
+  CheckDerivedStar(store, "(sigma[2=\"o2\"](E) u sigma[2=\"o5\"](E))",
+                   /*sparse=*/true);
+  CheckDerivedStar(store, "(" + o1 + " JOIN[1,2,3'; 3=1'] " + o1 + ")",
+                   /*sparse=*/true);
 }
 
 // ---- weighted shortest paths ------------------------------------------
