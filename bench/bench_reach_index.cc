@@ -15,6 +15,11 @@
 //                on one predicate's subgraph of a bulk-loaded Zipf store
 //                (the e2ebench pred_path shape): a forest of singleton
 //                SCCs whose ids are spread thinly over the store's;
+//   * build:     index construction alone on the largest graphs — a
+//                448K-triple transport network, a bulk-loaded 10^6-
+//                triple Zipf store and a random DAG whose nodes carry
+//                about 80 intervals each — the cost a cold star over a
+//                large base pays before emitting;
 //   * dijkstra:  one weighted shortest-path query (integer rho on the
 //                service predicates) across the city line — the
 //                DijkstraScan operator's kernel, benchmarked end to end.
@@ -39,6 +44,7 @@
 #include "loader/ntriples_writer.h"
 #include "storage/data_value.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace trial {
 namespace {
@@ -66,6 +72,15 @@ struct SparseRow {
   size_t output_triples = 0;
 };
 
+struct BuildRow {
+  std::string graph;
+  size_t num_triples = 0;
+  size_t num_nodes = 0;
+  size_t num_sccs = 0;
+  size_t num_intervals = 0;
+  double build_ms = 0;
+};
+
 struct DijkstraRow {
   size_t num_triples = 0;
   std::string src, dst;
@@ -77,6 +92,7 @@ struct DijkstraRow {
 
 std::vector<StarRow> g_star;
 std::vector<SparseRow> g_sparse;
+std::vector<BuildRow> g_build;
 std::vector<DijkstraRow> g_dijkstra;
 
 TripleStore MakeStore(size_t n) {
@@ -225,6 +241,63 @@ void RunSparse() {
   table.Print();
 }
 
+// 20,000 nodes, 10^5 random edges each to one of the 50 next-lower
+// ids: a deep DAG whose reach sets are wide and scattered, so most
+// nodes carry dozens of intervals — the labeling-heavy extreme.
+TripleSet RandomDag() {
+  Rng rng(5);
+  constexpr uint64_t kNodes = 20'000;
+  std::vector<Triple> rows;
+  for (int i = 0; i < 100'000; ++i) {
+    const ObjId u = static_cast<ObjId>(1 + rng.Below(kNodes - 1));
+    const ObjId w =
+        static_cast<ObjId>(1 + rng.Below(std::min<uint64_t>(u, 50)));
+    rows.push_back(Triple{u, 0, u - w});
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return TripleSet::FromSortedUnique(std::move(rows));
+}
+
+void RunBuild() {
+  std::printf("\n--- build: index construction on large graphs ---\n");
+  TablePrinter table({"graph", "|T|", "nodes", "sccs", "intervals",
+                      "build_ms"});
+  auto time_build = [&](const char* name, const TripleSet& base) {
+    base.Materialize(IndexOrder::kSPO);
+    double ms = TimeBest([&] { reach::ReachIndex::Build(base); }) * 1e3;
+    auto idx = reach::ReachIndex::Build(base);
+    g_build.push_back({name, base.size(), idx->num_nodes(), idx->num_sccs(),
+                       idx->num_intervals(), ms});
+    table.AddRow({name, TablePrinter::Fmt(base.size()),
+                  TablePrinter::Fmt(idx->num_nodes()),
+                  TablePrinter::Fmt(idx->num_sccs()),
+                  TablePrinter::Fmt(idx->num_intervals()),
+                  TablePrinter::Fmt(ms)});
+  };
+  for (size_t which : bench::Sweep({0, 1, 2})) {
+    if (which == 0) {
+      time_build("random_dag", RandomDag());
+    } else if (which == 1) {
+      TripleStore store = MakeStore(1'000'000);
+      time_build("transport", *store.FindRelation("E"));
+    } else {
+      SyntheticNTriplesOptions gen;
+      gen.num_triples = 1'000'000;
+      gen.zipf_p = 1.2;
+      gen.seed = 310;
+      Result<TripleStore> store = BulkLoadNTriples(SyntheticNTriples(gen));
+      if (!store.ok()) {
+        std::fprintf(stderr, "FATAL: %s\n",
+                     store.status().ToString().c_str());
+        std::exit(1);
+      }
+      time_build("zipf_store", *store->FindRelation("E"));
+    }
+  }
+  table.Print();
+}
+
 void RunDijkstra() {
   std::printf("\n--- dijkstra: weighted shortest path over the city line ---\n");
   TablePrinter table({"|T|", "src->dst", "query_ms", "dist", "edges",
@@ -280,7 +353,8 @@ void WriteJson(const char* path) {
       "star emission vs Procedure 3 (same host, same build, same run — the "
       "A/B is meaningless across hosts), index build cost reported "
       "separately; cold build + emit vs Procedure 3 on a sparse predicate "
-      "subgraph (sparse_cold); plus one weighted Dijkstra path query\",\n"
+      "subgraph (sparse_cold); serial index construction on the largest "
+      "graphs (build_large); plus one weighted Dijkstra path query\",\n"
       "  \"host_cores\": %zu,\n"
       "  \"core_bound_note\": \"%s\",\n"
       "  \"star\": [\n",
@@ -327,6 +401,22 @@ void WriteJson(const char* path) {
                  m.cold_ms > 0 ? m.procedure_ms / m.cold_ms : 0,
                  m.output_triples, i + 1 == g_sparse.size() ? "" : ",");
   }
+  std::fprintf(f, "  ],\n  \"build_large\": [\n");
+  for (size_t i = 0; i < g_build.size(); ++i) {
+    const BuildRow& m = g_build[i];
+    std::fprintf(f,
+                 "    {\n"
+                 "      \"graph\": \"%s\",\n"
+                 "      \"num_triples\": %zu,\n"
+                 "      \"num_nodes\": %zu,\n"
+                 "      \"num_sccs\": %zu,\n"
+                 "      \"num_intervals\": %zu,\n"
+                 "      \"build_ms\": %.3f\n"
+                 "    }%s\n",
+                 m.graph.c_str(), m.num_triples, m.num_nodes, m.num_sccs,
+                 m.num_intervals, m.build_ms,
+                 i + 1 == g_build.size() ? "" : ",");
+  }
   std::fprintf(f, "  ],\n  \"dijkstra\": [\n");
   for (size_t i = 0; i < g_dijkstra.size(); ++i) {
     const DijkstraRow& m = g_dijkstra[i];
@@ -356,6 +446,7 @@ void Run() {
                 "sparse base, Dijkstra over rho weights");
   RunStar();
   RunSparse();
+  RunBuild();
   RunDijkstra();
   std::printf(
       "\nexpected: warm-index emission is a closure copy (output-bound),\n"

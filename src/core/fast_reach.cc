@@ -59,8 +59,7 @@ struct GroupScratch : MarkScratch {
 }  // namespace
 
 Result<TripleSet> StarReachAnyPath(const TripleSet& base,
-                                   const ExecOptions& exec,
-                                   size_t max_result_triples) {
+                                   const ExecOptions& exec) {
   base.Materialize(IndexOrder::kOSP, exec);  // sources come off OSP
   const std::vector<Triple>& spo = base.triples();
   if (spo.empty()) return TripleSet();
@@ -89,18 +88,11 @@ Result<TripleSet> StarReachAnyPath(const TripleSet& base,
   }
 
   // Per-source reflexive-transitive closure.  Each source writes only
-  // its own reach slot, so source chunks expand concurrently.  Every
-  // source is the object of some base triple, so each reach set is
-  // emitted at least once: once their total passes the guard, the
-  // emission would too, and the remaining sources are skipped.
+  // its own reach slot, so source chunks expand concurrently.
   std::vector<std::vector<ObjId>> reach(sources.size());
-  std::atomic<size_t> reached{0};
   auto expand_chunk = [&](size_t begin, size_t end) {
     MarkScratch scratch(ids.size());
     for (size_t si = begin; si < end; ++si) {
-      if (reached.load(std::memory_order_relaxed) > max_result_triples) {
-        return;
-      }
       uint32_t stamp = static_cast<uint32_t>(si - begin);
       uint32_t src = ids.Dense(sources[si]);
       std::vector<ObjId>& rs = reach[si];
@@ -119,7 +111,6 @@ Result<TripleSet> StarReachAnyPath(const TripleSet& base,
           }
         }
       }
-      reached.fetch_add(rs.size(), std::memory_order_relaxed);
     }
   };
   size_t threads = exec.EffectiveThreads();
@@ -135,19 +126,12 @@ Result<TripleSet> StarReachAnyPath(const TripleSet& base,
   }
 
   // Emission: (s, p, l) for every base triple and every l reachable
-  // from its object.  A chunk counts its rows before emitting any: the
-  // shared total ends at the full count whatever the scheduling, and no
-  // chunk emits once the total has passed the guard.
-  std::atomic<size_t> rows{0};
+  // from its object.
   auto emit = [&](size_t, size_t begin, size_t end,
                   std::vector<Triple>* out) {
     size_t n = 0;
     for (size_t i = begin; i < end; ++i) {
       n += reach[slot_of[ids.Dense(spo[i].o)]].size();
-    }
-    if (rows.fetch_add(n, std::memory_order_relaxed) + n >
-        max_result_triples) {
-      return;
     }
     out->reserve(n);
     for (size_t i = begin; i < end; ++i) {
@@ -158,17 +142,11 @@ Result<TripleSet> StarReachAnyPath(const TripleSet& base,
     }
   };
   std::vector<std::vector<Triple>> runs;
-  if (reached.load() <= max_result_triples) {
-    if (exec.ShouldParallelize(spo.size())) {
-      runs = ParallelChunkedRuns<Triple>(spo.size(), threads, emit);
-    } else {
-      runs.resize(1);
-      emit(0, 0, spo.size(), &runs[0]);
-    }
-  }
-  if (reached.load() > max_result_triples ||
-      rows.load() > max_result_triples) {
-    return Status::ResourceExhausted("star result too large");
+  if (exec.ShouldParallelize(spo.size())) {
+    runs = ParallelChunkedRuns<Triple>(spo.size(), threads, emit);
+  } else {
+    runs.resize(1);
+    emit(0, 0, spo.size(), &runs[0]);
   }
   return KernelResult(std::move(runs), exec);
 }

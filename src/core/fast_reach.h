@@ -27,17 +27,20 @@ namespace trial {
 /// the parallel KernelResult; results are identical to the serial path
 /// for any thread count.
 ///
-/// kResourceExhausted when more than `max_result_triples` rows would be
-/// emitted.  Like the join probe loop's guard, it counts rows before
-/// dedup, so success or failure never depends on the thread count.
-Result<TripleSet> StarReachAnyPath(
-    const TripleSet& base, const ExecOptions& exec = {},
-    size_t max_result_triples = SIZE_MAX);
+/// No plan runs it: the planner lowers every such star to the interval
+/// index's ReachIndexScan (core/reach/reach_index.h).  It stays as the
+/// oracle that tests and benchmarks check and time the index against,
+/// so it has no result-size guard.
+Result<TripleSet> StarReachAnyPath(const TripleSet& base,
+                                   const ExecOptions& exec = {});
 
 /// (R ⋈^{1,2,3'}_{3=1',2=2'})* — Procedure 4, sparse: same computation
 /// restricted to the subgraph of triples sharing each middle element.
-/// Parallelism is per middle group (groups are independent).  The
-/// result-size guard is StarReachAnyPath's.
+/// Parallelism is per middle group (groups are independent).
+///
+/// kResourceExhausted when more than `max_result_triples` rows would be
+/// emitted.  Like the join probe loop's guard, it counts rows before
+/// dedup, so success or failure never depends on the thread count.
 Result<TripleSet> StarReachSameMiddle(
     const TripleSet& base, const ExecOptions& exec = {},
     size_t max_result_triples = SIZE_MAX);

@@ -64,6 +64,13 @@ void ApplyBudget(std::vector<Iv>* ivs, size_t budget) {
 // up-front allocation when the guard is going to abort the emission.
 constexpr size_t kEmitReserveCap = size_t{1} << 24;
 
+// Closure ids and output rows are each one copy, far cheaper than the
+// join probe or sort item that ExecOptions::min_parallel_items counts:
+// this many of them count as one item.  Below it a pool dispatch costs
+// more than it saves (a predicate subgraph's star, whose output is about
+// its base, ran slower at 2 and 4 threads than at 1).
+constexpr size_t kRowsPerParallelItem = 32;
+
 }  // namespace
 
 std::shared_ptr<const ReachIndex> ReachIndex::Cached(const TripleSet& base) {
@@ -376,7 +383,7 @@ void ReachIndex::EnsureClosures(const ExecOptions& exec) const {
         if (out - first > 1) std::sort(first, out);
       }
     };
-    if (exec.ShouldParallelize(closure_ids_.size())) {
+    if (exec.ShouldParallelize(closure_ids_.size() / kRowsPerParallelItem)) {
       const size_t threads = exec.EffectiveThreads();
       std::vector<ChunkRange> chunks =
           SplitEven(num_sccs_, threads * kChunksPerThread);
@@ -441,8 +448,11 @@ Result<TripleSet> ReachIndex::EmitStar(const TripleSet& base,
   auto no_guard = [] { return true; };
 
   // star_rows_ bounds the output from above, so within the guard the
-  // parallel path needs no guard of its own.
-  if (star_rows_ <= max_result_triples && exec.ShouldParallelize(spo.size())) {
+  // parallel path needs no guard of its own.  It is also the work: a
+  // row is one copy, so the pool pays off only when the rows are many
+  // times the threshold a kernel's items are counted against.
+  if (star_rows_ <= max_result_triples &&
+      exec.ShouldParallelize(star_rows_ / kRowsPerParallelItem)) {
     // Chunks of about equal output, snapped forward to (s, p) group
     // ends so that their outputs concatenate in order to the sorted-
     // unique result.
