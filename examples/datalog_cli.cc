@@ -101,9 +101,7 @@ int RunProgram(const TripleStore& store, const std::string& text,
       plan::PlanPtr pl;
       plan::AdaptiveResult ar;
       if (adaptive) {
-        ExecLimits lim;
-        lim.adaptive = true;
-        result = plan::ExecuteAdaptive(*expr, store, lim, analyze, &ar);
+        result = plan::ExecuteAdaptive(*expr, store, {}, analyze, &ar);
         pl = std::move(ar.plan);
         std::printf("adaptive: %zu replan(s)\n", ar.replans);
       } else {
@@ -114,12 +112,7 @@ int RunProgram(const TripleStore& store, const std::string& text,
       if (pl != nullptr && analyze) {
         std::printf("plan (EXPLAIN ANALYZE):\n%s",
                     plan::ExplainAnalyze(*pl).c_str());
-        // Traces need one clock origin; adaptive stage-wise execution
-        // restarts it per stage, so only static runs emit a trace.
-        if (!adaptive) {
-          plan::EmitTrace(
-              plan::CollectTrace(*pl, (*expr)->ToString(), 1));
-        }
+        plan::EmitTrace(plan::CollectTrace(*pl, (*expr)->ToString(), 1));
       } else if (pl != nullptr && explain) {
         std::printf("plan (estimated vs actual rows):\n%s",
                     plan::Explain(*pl).c_str());

@@ -231,12 +231,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
     std::fprintf(stderr, "--trace requires --analyze\n");
     return false;
   }
-  if (!a->trace.empty() && a->adaptive) {
-    std::fprintf(stderr,
-                 "--trace cannot be combined with --adaptive (stage-wise "
-                 "execution breaks the single-origin span nesting)\n");
-    return false;
-  }
   if (a->q_error_threshold < 0) {
     std::fprintf(stderr, "--q-error-threshold wants a positive number\n");
     return false;
@@ -387,11 +381,8 @@ int RunQuery(const TripleStore& store, const Args& args, QueryStats* out) {
   }
   if (want_plan && !args.adaptive) pl = plan::PlanExpr(*expr, store);
   ExecLimits lim;
-  if (args.adaptive) {
-    lim.adaptive = true;
-    if (args.q_error_threshold > 0) {
-      lim.q_error_threshold = args.q_error_threshold;
-    }
+  if (args.q_error_threshold > 0) {
+    lim.q_error_threshold = args.q_error_threshold;
   }
   Timer t;
   Result<TripleSet> result = TripleSet();
@@ -437,10 +428,7 @@ int RunQuery(const TripleStore& store, const Args& args, QueryStats* out) {
     std::printf("adaptive: %zu replan(s), %.3fms re-planning\n", out->replans,
                 out->replan_ms);
   }
-  // Traces need a single execution clock origin; adaptive stage-wise
-  // execution restarts it per stage, so span nesting would be wrong
-  // (ParseArgs already rejects --trace with --adaptive).
-  if (args.analyze && !args.adaptive) {
+  if (args.analyze) {
     plan::QueryTrace trace = plan::CollectTrace(*pl, out->expr, 1);
     plan::EmitTrace(trace);  // installed sinks (servers, tests) see it
     if (!args.trace.empty()) {

@@ -28,18 +28,16 @@ struct ExecLimits {
   /// first; this is a safety net.
   size_t max_rounds = 10'000'000;
 
-  /// Enable adaptive mid-query re-optimization: the plan executor pauses
-  /// at materialization points inside a DP join region, and when an
-  /// operator's observed cardinality is off its estimate by more than
-  /// `q_error_threshold`, re-runs the DP reorderer over the not-yet-
-  /// executed suffix with observed cardinalities substituted.  Join
+  /// Route the smart evaluator's plan-cache misses through adaptive
+  /// mid-query re-optimization (plan::ExecuteAdaptive, adapt.h).  Only
+  /// SmartEvaluator reads this field: ExecutePlan runs its tree
+  /// statically and ExecuteAdaptive adapts whatever this says.  Join
   /// *order* may change mid-query; results are byte-identical to the
   /// static plan at any thread count.
   bool adaptive = false;
 
   /// Q-error (max(est/actual, actual/est), both clamped >= 1) above
-  /// which the adaptive executor triggers a re-plan of the remaining
-  /// join region.  Only consulted when `adaptive` is set.
+  /// which ExecuteAdaptive re-plans the remaining join region.
   double q_error_threshold = 10.0;
 
   /// Parallel execution knobs, honored by the plan executor's join and

@@ -105,8 +105,11 @@ struct AdaptiveResult {
 /// q-error vs the estimate exceeds limits.q_error_threshold.  Results
 /// are byte-identical to ExecutePlan(PlanExpr(e, store)) at any thread
 /// count.  `out` may be null; `fb` null means FeedbackCache::Global().
-/// Accounts exec.queries / exec.query_ns once per call, plus
-/// exec.replans / exec.replan_ns per re-plan, when metrics are on.
+/// Every stage runs on one executor: with `profile` the assembled
+/// tree's spans share one clock origin and nest like a static plan's,
+/// the root spanning the whole query, re-plans included.  Accounts
+/// exec.queries / exec.query_ns once per call, plus exec.replans /
+/// exec.replan_ns per re-plan, when metrics are on.
 Result<TripleSet> ExecuteAdaptive(const ExprPtr& e, const TripleStore& store,
                                   const ExecLimits& limits = {},
                                   bool profile = false,

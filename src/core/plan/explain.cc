@@ -1,12 +1,14 @@
-// Plan rendering: one operator per line, children indented two spaces,
-// planner estimates next to executed actuals.  The format is stable —
-// golden tests and the CI plan-dump artifact parse it loosely
-// (substring checks), so keep changes additive.
+// Plan rendering, Explain and ExplainAnalyze: one operator per line,
+// children indented two spaces, planner estimates next to executed
+// actuals.  The format is stable — golden tests and the CI plan-dump
+// artifact parse it loosely (substring checks), so keep changes
+// additive.
 
 #include <cstdio>
 #include <string>
 
 #include "core/plan/plan.h"
+#include "core/plan/profile.h"
 
 namespace trial {
 namespace plan {
@@ -22,58 +24,72 @@ std::string FmtEst(double est) {
   return buf;
 }
 
-void Render(const PlanNode& n, int depth, std::string* out) {
+// Wall time with a unit that keeps 2-3 significant digits readable
+// across the ns..s range the operators actually span.
+std::string FmtNs(uint64_t ns) {
+  char buf[32];
+  if (ns < 10'000) {
+    std::snprintf(buf, sizeof buf, "%lluns",
+                  static_cast<unsigned long long>(ns));
+  } else if (ns < 10'000'000) {
+    std::snprintf(buf, sizeof buf, "%.2fus", static_cast<double>(ns) / 1e3);
+  } else if (ns < 10'000'000'000ull) {
+    std::snprintf(buf, sizeof buf, "%.2fms", static_cast<double>(ns) / 1e6);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.2fs", static_cast<double>(ns) / 1e9);
+  }
+  return buf;
+}
+
+// One line per operator: the summary and estimate, then what the
+// executor recorded.  `analyze` adds the q-error and the profiled span
+// fields (ExplainAnalyze).
+void Render(const PlanNode& n, int depth, bool analyze, std::string* out) {
+  const PlanRuntime& rt = n.runtime;
   out->append(static_cast<size_t>(depth) * 2, ' ');
   AppendNodeSummary(n, out);
   out->append(" est=").append(FmtEst(n.est_rows));
-  if (n.runtime.executed) {
-    char buf[32];
-    if (n.runtime.rows_known) {
-      std::snprintf(buf, sizeof buf, "%zu", n.runtime.actual_rows);
-    } else {
-      // Executed, but nothing consumed the set yet (an unread root):
-      // counting would force a sort the caller chose not to pay.
-      std::snprintf(buf, sizeof buf, "?");
-    }
-    out->append(" actual=").append(buf);
-    if (n.runtime.strategy != nullptr) {
-      out->append(" (").append(n.runtime.strategy).append(")");
-    }
-    if (n.op == PlanOp::kFixpointStar) {
-      std::snprintf(buf, sizeof buf, "%zu", n.runtime.rounds);
-      out->append(" rounds=").append(buf);
-      if (n.runtime.rounds > 0) {
-        std::snprintf(buf, sizeof buf, " (probe=%zu, hash=%zu)",
-                      n.runtime.probe_rounds, n.runtime.hash_rounds);
-        out->append(buf);
-      }
-    }
-    if (n.op == PlanOp::kDijkstraScan) {
-      if (n.runtime.sp_reached) {
-        char dbuf[64];
-        std::snprintf(dbuf, sizeof dbuf, " dist=%lld settled=%zu",
-                      static_cast<long long>(n.runtime.sp_distance),
-                      n.runtime.sp_settled);
-        out->append(dbuf);
-      } else {
-        out->append(" unreachable");
-      }
+  char buf[96];
+  if (rt.executed && rt.rows_known) {
+    std::snprintf(buf, sizeof buf, " actual=%zu", rt.actual_rows);
+    out->append(buf);
+    if (analyze) {
+      std::snprintf(buf, sizeof buf, " q=%.2f",
+                    QError(n.est_rows, static_cast<double>(rt.actual_rows)));
+      out->append(buf);
     }
   } else {
-    out->append(" actual=-");
+    // "?": executed, but nothing consumed the set yet (an unread root);
+    // counting would force a sort the caller chose not to pay.
+    out->append(rt.executed ? " actual=?" : " actual=-");
   }
-  if (n.replanned) {
-    if (n.replan_obs > 0) {
-      char buf[96];
-      std::snprintf(buf, sizeof buf, " [replanned est=%s→obs=%.0f]",
-                    FmtEst(n.replan_est).c_str(), n.replan_obs);
+  if (rt.strategy != nullptr) out->append(" (").append(rt.strategy).append(")");
+  if (analyze && rt.profiled) {
+    out->append(" self=").append(FmtNs(rt.self_ns));
+    out->append(" cum=").append(FmtNs(rt.end_ns - rt.start_ns));
+    std::snprintf(buf, sizeof buf, " peak=%zu", rt.peak_rows);
+    out->append(buf);
+  }
+  if (rt.executed && n.op == PlanOp::kFixpointStar) {
+    std::snprintf(buf, sizeof buf, " rounds=%zu", rt.rounds);
+    out->append(buf);
+    if (analyze || rt.rounds > 0) {
+      std::snprintf(buf, sizeof buf, " (probe=%zu, hash=%zu)",
+                    rt.probe_rounds, rt.hash_rounds);
+      out->append(buf);
+    }
+  }
+  if (rt.executed && n.op == PlanOp::kDijkstraScan) {
+    if (rt.sp_reached) {
+      std::snprintf(buf, sizeof buf, " dist=%lld settled=%zu",
+                    static_cast<long long>(rt.sp_distance), rt.sp_settled);
       out->append(buf);
     } else {
-      out->append(" [replanned]");
+      out->append(" unreachable");
     }
   }
   out->append("\n");
-  for (const PlanPtr& c : n.children) Render(*c, depth + 1, out);
+  for (const PlanPtr& c : n.children) Render(*c, depth + 1, analyze, out);
 }
 
 }  // namespace
@@ -119,11 +135,27 @@ void AppendNodeSummary(const PlanNode& n, std::string* out) {
   } else if (n.access.prefix > 0) {
     out->append(" via=").append(IndexOrderName(n.access.order));
   }
+  if (n.replanned) {
+    out->append(" [replanned");
+    if (n.replan_obs > 0) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, " est=%s→obs=%.0f",
+                    FmtEst(n.replan_est).c_str(), n.replan_obs);
+      out->append(buf);
+    }
+    out->append("]");
+  }
 }
 
 std::string Explain(const PlanNode& root) {
   std::string out;
-  Render(root, 0, &out);
+  Render(root, 0, /*analyze=*/false, &out);
+  return out;
+}
+
+std::string ExplainAnalyze(const PlanNode& root) {
+  std::string out;
+  Render(root, 0, /*analyze=*/true, &out);
   return out;
 }
 

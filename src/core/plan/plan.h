@@ -310,21 +310,22 @@ struct PlanNode {
   /// enclosing join region this subtree covers (bitmask over the
   /// region's flattened leaf order) and the output schema's variable
   /// class per column.  Zero mask = not part of a reordered region.
-  /// The adaptive executor (adapt.cc) keys materialized intermediates
-  /// on (region_mask, region_cls) to splice them into re-plans.
+  /// The executor's staged mode (adaptive execution) keys materialized
+  /// intermediates on (region_mask, region_cls) to splice them into
+  /// re-plans.
   uint32_t region_mask = 0;
   int region_cls[3] = {-1, -1, -1};
 
-  /// Adaptive execution: when set, ExecutePlan returns *bound instead
-  /// of executing the subtree — the adaptive executor attaches an
+  /// Adaptive execution: when set, the executor returns *bound instead
+  /// of executing the subtree — its staged mode attaches an
   /// already-materialized intermediate here when splicing a re-planned
   /// suffix.  Never set by the planner.
   std::shared_ptr<const TripleSet> bound;
 
-  /// Set by the adaptive executor on nodes created (or re-costed) by a
-  /// mid-query re-plan; rendered by Explain / ExplainAnalyze as
-  /// "[replanned]".  The trigger node additionally carries the
-  /// estimated-vs-observed cardinality that forced the re-plan.
+  /// Set by the staged executor on nodes created (or re-costed) by a
+  /// mid-query re-plan; rendered by AppendNodeSummary as "[replanned]".
+  /// The trigger node additionally carries the estimated-vs-observed
+  /// cardinality that forced the re-plan.
   bool replanned = false;
   double replan_est = 0;
   double replan_obs = 0;
@@ -378,15 +379,6 @@ Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
                               const ExecLimits& limits = {},
                               bool profile = false);
 
-/// ExecutePlan minus the per-query metrics accounting: runs the tree
-/// and verifies the snapshot, nothing else.  The adaptive executor
-/// (adapt.cc) runs each pipeline stage through this so a query that
-/// re-plans twice still counts as ONE query in exec.queries /
-/// exec.query_ns.
-Result<TripleSet> ExecutePlanStage(PlanNode& root, const TripleStore& store,
-                                   const ExecLimits& limits = {},
-                                   bool profile = false);
-
 /// Records `result`'s cardinality on the root node for Explain.  This
 /// normalizes (sorts) the result if nothing has read it yet — call it
 /// only when you are about to consume the result anyway.
@@ -400,9 +392,11 @@ void RecordRootRows(PlanNode& root, const TripleSet& result);
 ///     IndexScan E est=50000 actual=50000
 std::string Explain(const PlanNode& root);
 
-/// The operator summary shared by Explain and ExplainAnalyze: op name,
-/// spec/relation detail, and the via= access-path note, no cardinality
-/// or runtime fields.  Appended to `out`.
+/// The operator summary shared by Explain, ExplainAnalyze and trace
+/// spans: op name, spec/relation detail, the via= access-path note and
+/// the re-plan marker ("[replanned est=…→obs=…]" on the node whose
+/// observation triggered a mid-query re-plan), no runtime fields.
+/// Appended to `out`.
 void AppendNodeSummary(const PlanNode& n, std::string* out);
 
 }  // namespace plan

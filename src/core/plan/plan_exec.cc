@@ -12,17 +12,25 @@
 //
 // Each node's PlanRuntime is filled as it executes: actual output rows,
 // the strategy really taken, and fixpoint round counts.
+//
+// Adaptive execution is this executor's staged mode (StagedRun below):
+// the same Executor runs a join region one materialized subset at a
+// time, and adapt.cc supplies the re-plan hook (staged.h).
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/eval.h"
 #include "core/fast_reach.h"
 #include "core/plan/plan.h"
+#include "core/plan/profile.h"
+#include "core/plan/staged.h"
 #include "core/reach/dijkstra.h"
 #include "core/reach/reach_index.h"
 #include "util/interner.h"
@@ -47,14 +55,71 @@ constexpr size_t kMaxSegmentReserve = 64 * 1024;
 using TripleHashSet = std::unordered_set<Triple, TripleHash>;
 using HashIndex = std::unordered_map<uint64_t, std::vector<Triple>>;
 
+// Children execute strictly inside a node's span (operators run their
+// children sequentially; parallelism lives inside kernels), so self time
+// is the cumulative span minus the children's spans.  A child spliced in
+// from an earlier stage started before its parent did: the parent's span
+// then widens to start with its first child.  (Only a re-plan that
+// regroups subsets of the earlier plan into two sibling subtrees would
+// interleave their stages; their spans then overlap as the stages did.)
+void CloseSpan(PlanNode& n) {
+  uint64_t child_ns = 0;
+  for (const PlanPtr& c : n.children) {
+    if (!c->runtime.profiled) continue;
+    n.runtime.start_ns = std::min(n.runtime.start_ns, c->runtime.start_ns);
+    child_ns += c->runtime.end_ns - c->runtime.start_ns;
+  }
+  uint64_t cum = n.runtime.end_ns - n.runtime.start_ns;
+  n.runtime.self_ns = cum > child_ns ? cum - child_ns : 0;
+}
+
+// Walks an executed tree bumping the per-strategy counters.
+void CountStrategies(const PlanNode& n, MetricsRegistry& reg) {
+  if (n.runtime.executed && n.runtime.strategy != nullptr) {
+    reg.GetCounter(std::string("exec.strategy.") + n.runtime.strategy)
+        ->Increment();
+  }
+  for (const PlanPtr& c : n.children) CountStrategies(*c, reg);
+}
+
+// One query's executor.  Every stage of the query runs through the one
+// instance, so profiled spans and exec.query_ns share a clock origin.
 class Executor {
  public:
-  Executor(const TripleStore& store, const ExecLimits& limits,
-           bool profile = false)
+  Executor(const TripleStore& store, const ExecLimits& limits, bool profile)
       : store_(store),
         limits_(limits),
         profile_(profile),
-        origin_ns_(profile ? MonotonicNanos() : 0) {}
+        metrics_(MetricsEnabled()),
+        origin_ns_(profile || metrics_ ? MonotonicNanos() : 0) {}
+
+  // Executes one stage (the whole tree, for a static plan).
+  Result<TripleSet> Stage(PlanNode& n) {
+    Result<TripleSet> result = Exec(n);
+    // A lazy snapshot decode that hit corruption yields empty scans,
+    // not a Status — surface the sticky diagnostic instead of a
+    // silently wrong (empty/partial) result.  The result itself may be
+    // a still-lazy pass-through of a relation (a bare index scan), so
+    // force it too.
+    if (result.ok()) TRIAL_RETURN_IF_ERROR(result->VerifyMaterialized());
+    TRIAL_RETURN_IF_ERROR(store_.SnapshotStatus());
+    return result;
+  }
+
+  // The per-query accounting, once per query however many stages ran;
+  // `tree` is the executed tree (null when none was assembled).
+  void Account(const Result<TripleSet>& result, const PlanNode* tree) const {
+    if (!metrics_) return;
+    MetricsRegistry& reg = MetricsRegistry::Global();
+    reg.GetCounter("exec.queries")->Increment();
+    reg.GetHistogram("exec.query_ns")->Observe(MonotonicNanos() - origin_ns_);
+    if (result.ok()) {
+      reg.GetHistogram("exec.result_rows")->Observe(result->size());
+    } else {
+      reg.GetCounter("exec.query_errors")->Increment();
+    }
+    if (tree != nullptr) CountStrategies(*tree, reg);
+  }
 
   Result<TripleSet> Exec(PlanNode& n) {
     n.runtime = PlanRuntime{};
@@ -76,17 +141,7 @@ class Executor {
     n.runtime.start_ns = MonotonicNanos() - origin_ns_;
     Result<TripleSet> result = ExecNode(n);
     n.runtime.end_ns = MonotonicNanos() - origin_ns_;
-    // Children execute strictly inside this node's span (operators run
-    // their children sequentially; parallelism lives inside kernels),
-    // so self time is the cumulative span minus the children's spans.
-    uint64_t child_ns = 0;
-    for (const PlanPtr& c : n.children) {
-      if (c->runtime.profiled) {
-        child_ns += c->runtime.end_ns - c->runtime.start_ns;
-      }
-    }
-    uint64_t cum = n.runtime.end_ns - n.runtime.start_ns;
-    n.runtime.self_ns = cum > child_ns ? cum - child_ns : 0;
+    CloseSpan(n);
     if (result.ok()) {
       n.runtime.executed = true;
       // ANALYZE counts every node, including the root: the caller asked
@@ -626,51 +681,214 @@ class Executor {
   const TripleStore& store_;
   const ExecLimits& limits_;
   const bool profile_;
-  const uint64_t origin_ns_;  ///< query-start clock origin (profiled only)
+  const bool metrics_;
+  const uint64_t origin_ns_;  ///< query-start clock origin (profile/metrics)
 };
 
-// Walks an executed tree bumping the per-strategy counters; called only
-// when metrics recording is on.
-void CountStrategies(const PlanNode& n, MetricsRegistry& reg) {
-  if (n.runtime.executed && n.runtime.strategy != nullptr) {
-    static constexpr const char* kPrefix = "exec.strategy.";
-    reg.GetCounter(std::string(kPrefix) + n.runtime.strategy)->Increment();
-  }
-  for (const PlanPtr& c : n.children) CountStrategies(*c, reg);
+// Backstop on mid-query re-plans: after this many the current plan runs
+// to completion.  Exact feedback on executed masks makes re-triggering
+// on the same observation impossible, so this is never hit in practice.
+constexpr size_t kMaxReplans = 8;
+
+bool SingleBit(uint32_t mask) { return mask != 0 && (mask & (mask - 1)) == 0; }
+
+bool ClsMatch(const int a[3], const int b[3]) {
+  return a[0] == b[0] && a[1] == b[1] && a[2] == b[2];
 }
+
+// The staged mode of the executor over a root join region (adaptive
+// execution, adapt.h).  FindNext walks the current tree to the lowest
+// node whose region children are all materialized (a leaf subtree, or a
+// join both of whose inputs are done) and executes exactly that subtree
+// as one stage.  Its observation goes to the replanner; when the
+// q-error vs the node's estimate crosses the threshold, the replanner
+// re-plans the whole region with every materialized subset priced as
+// sunk (DoneSubset), and the stored intermediates splice into the new
+// tree as `bound` nodes.
+//
+// Termination: every stage materializes a subset, and after the re-plan
+// cap the current plan runs to completion; re-executed masks carry
+// exact feedback, so their q-error is 1 and cannot re-trigger.
+class StagedRun {
+ public:
+  // Re-plan counts and, on success, the assembled tree go to `res`.
+  StagedRun(Executor& exec, const ExecLimits& limits,
+            StageReplanner& replanner, AdaptiveResult* res)
+      : exec_(exec), limits_(limits), replanner_(replanner), res_(*res) {}
+
+  Result<TripleSet> Run(PlanPtr plan) {
+    full_mask_ = plan->region_mask;
+    current_ = std::move(plan);
+    while (done_.find(full_mask_) == done_.end()) {
+      PlanPtr* slot = FindNext(&current_);
+      PlanNode& step = **slot;
+      double est = step.est_rows;
+      TRIAL_ASSIGN_OR_RETURN(TripleSet result, exec_.Stage(step));
+      size_t observed = result.size();
+      uint32_t mask = step.region_mask;
+      replanner_.Observe(mask, observed);
+      Done& d = done_[mask];
+      d.set = std::make_shared<TripleSet>(std::move(result));
+      for (int c = 0; c < 3; ++c) d.cls[c] = step.region_cls[c];
+      d.tree = Detach(slot, d.set);
+      if (mask != full_mask_ &&
+          QError(est, static_cast<double>(observed)) >
+              limits_.q_error_threshold &&
+          res_.replans < kMaxReplans) {
+        Replan(est, static_cast<double>(observed));
+      }
+    }
+    res_.plan = Assemble(full_mask_);
+    return TripleSet(*done_[full_mask_].set);
+  }
+
+ private:
+  // One materialized join-region subset.
+  struct Done {
+    std::shared_ptr<const TripleSet> set;
+    int cls[3] = {-1, -1, -1};
+    PlanPtr tree;  // the subtree that computed it, runtimes filled
+  };
+
+  // Marks `n` reusable when its (mask, schema) is materialized,
+  // attaching the stored intermediate.
+  bool BindIfDone(PlanNode& n) {
+    if (n.bound != nullptr) return true;
+    if (n.region_mask == 0) return false;
+    auto it = done_.find(n.region_mask);
+    if (it == done_.end() || !ClsMatch(it->second.cls, n.region_cls)) {
+      return false;
+    }
+    n.bound = it->second.set;
+    return true;
+  }
+
+  // The owning slot of the next subtree to materialize: descend from
+  // the root into the first non-done region child; a leaf subtree or a
+  // join with every child done is the step.
+  PlanPtr* FindNext(PlanPtr* slot) {
+    PlanNode& n = **slot;
+    if (SingleBit(n.region_mask) || n.region_mask == 0) return slot;
+    for (PlanPtr& c : n.children) {
+      if (!BindIfDone(*c)) return FindNext(&c);
+    }
+    return slot;
+  }
+
+  // Swaps the executed subtree out of the tree, leaving a bound
+  // placeholder carrying the same region bookkeeping.
+  PlanPtr Detach(PlanPtr* slot, std::shared_ptr<const TripleSet> set) {
+    PlanPtr placeholder = std::make_unique<PlanNode>();
+    PlanNode& n = **slot;
+    placeholder->op = n.op;
+    placeholder->rel_name = n.rel_name;
+    placeholder->region_mask = n.region_mask;
+    for (int c = 0; c < 3; ++c) placeholder->region_cls[c] = n.region_cls[c];
+    placeholder->est_rows = n.est_rows;
+    placeholder->replanned = n.replanned;
+    placeholder->bound = std::move(set);
+    std::swap(*slot, placeholder);
+    return placeholder;  // now owns the executed subtree
+  }
+
+  void Replan(double est, double obs) {
+    std::vector<DoneSubset> sunk;
+    for (const auto& [mask, d] : done_) {
+      DoneSubset ds;
+      ds.mask = mask;
+      for (int c = 0; c < 3; ++c) ds.cls[c] = d.cls[c];
+      sunk.push_back(ds);
+    }
+    uint64_t t0 = MonotonicNanos();
+    PlanPtr next = replanner_.Replan(sunk);
+    uint64_t dt = MonotonicNanos() - t0;
+    if (next == nullptr) return;  // keep the current plan
+    MarkReplanned(*next);
+    next->replan_est = est;
+    next->replan_obs = obs;
+    current_ = std::move(next);
+    ++res_.replans;
+    res_.replan_ns += dt;
+    if (MetricsEnabled()) {
+      MetricsRegistry& reg = MetricsRegistry::Global();
+      reg.GetCounter("exec.replans")->Increment();
+      reg.GetHistogram("exec.replan_ns")->Observe(dt);
+    }
+  }
+
+  // Everything the re-plan will actually have to execute is new work
+  // under a new order — flag it for EXPLAIN; materialized subsets bind
+  // and keep their original rendering.  Leaf subtrees are never bound
+  // partially, so binding stops at them (their inner nodes may carry
+  // the masks of a nested region).
+  void MarkReplanned(PlanNode& n, bool in_region = true) {
+    if (in_region && BindIfDone(n)) return;
+    n.replanned = true;
+    in_region = in_region && !SingleBit(n.region_mask);
+    for (PlanPtr& c : n.children) MarkReplanned(*c, in_region);
+  }
+
+  // The executed tree: the full-mask subtree with every bound
+  // placeholder replaced by the subtree that really computed it.
+  PlanPtr Assemble(uint32_t mask) {
+    PlanPtr root = std::move(done_[mask].tree);
+    if (root != nullptr) Fill(&root);
+    return root;
+  }
+
+  void Fill(PlanPtr* slot) {
+    PlanNode& n = **slot;
+    if (n.bound != nullptr) {
+      auto it = done_.find(n.region_mask);
+      if (it != done_.end() && ClsMatch(it->second.cls, n.region_cls) &&
+          it->second.tree != nullptr) {
+        PlanPtr sub = std::move(it->second.tree);
+        Fill(&sub);
+        *slot = std::move(sub);
+        return;
+      }
+    }
+    for (PlanPtr& c : n.children) Fill(&c);
+    if (n.runtime.profiled) CloseSpan(n);
+  }
+
+  Executor& exec_;
+  const ExecLimits& limits_;
+  StageReplanner& replanner_;
+  AdaptiveResult& res_;
+  uint32_t full_mask_ = 0;
+  PlanPtr current_;
+  std::map<uint32_t, Done> done_;
+};
 
 }  // namespace
 
-Result<TripleSet> ExecutePlanStage(PlanNode& root, const TripleStore& store,
-                                   const ExecLimits& limits, bool profile) {
-  Result<TripleSet> result = Executor(store, limits, profile).Exec(root);
-  // A lazy snapshot decode that hit corruption yields empty scans, not
-  // a Status — surface the sticky diagnostic instead of a silently
-  // wrong (empty/partial) result.  The result itself may be a still-lazy
-  // pass-through of a relation (a bare index scan), so force it too.
-  if (result.ok()) TRIAL_RETURN_IF_ERROR(result->VerifyMaterialized());
-  TRIAL_RETURN_IF_ERROR(store.SnapshotStatus());
+Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
+                              const ExecLimits& limits, bool profile) {
+  Executor exec(store, limits, profile);
+  Result<TripleSet> result = exec.Stage(root);
+  exec.Account(result, &root);
   return result;
 }
 
-Result<TripleSet> ExecutePlan(PlanNode& root, const TripleStore& store,
-                              const ExecLimits& limits, bool profile) {
-  // Metrics are one relaxed atomic load when off; the clock is read
-  // only when something (metrics or profiling) will consume it.
-  const bool metrics = MetricsEnabled();
-  const uint64_t t0 = metrics ? MonotonicNanos() : 0;
-  Result<TripleSet> result = ExecutePlanStage(root, store, limits, profile);
-  if (metrics) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.GetCounter("exec.queries")->Increment();
-    reg.GetHistogram("exec.query_ns")->Observe(MonotonicNanos() - t0);
-    if (result.ok()) {
-      reg.GetHistogram("exec.result_rows")->Observe(result->size());
-    } else {
-      reg.GetCounter("exec.query_errors")->Increment();
-    }
-    CountStrategies(root, reg);
+Result<TripleSet> ExecuteStaged(PlanPtr plan, const TripleStore& store,
+                                const ExecLimits& limits, bool profile,
+                                StageReplanner& replanner,
+                                AdaptiveResult* out) {
+  Executor exec(store, limits, profile);
+  AdaptiveResult res;
+  Result<TripleSet> result = TripleSet();
+  if (plan->region_mask != 0) {
+    result = StagedRun(exec, limits, replanner, &res).Run(std::move(plan));
+  } else {
+    // No region to adapt (single scan, select, star, union, pairwise
+    // fallback): static execution, but still learn the root cardinality.
+    result = exec.Stage(*plan);
+    if (result.ok()) replanner.Observe(0, result->size());
+    res.plan = std::move(plan);
   }
+  exec.Account(result, res.plan.get());
+  if (out != nullptr) *out = std::move(res);
   return result;
 }
 

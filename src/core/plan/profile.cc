@@ -11,33 +11,6 @@ namespace {
 
 std::atomic<TraceSink*> g_sink{nullptr};
 
-std::string FmtEstRows(double est) {
-  char buf[32];
-  if (est < 1e7) {
-    std::snprintf(buf, sizeof buf, "%.0f", est);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.3g", est);
-  }
-  return buf;
-}
-
-// Wall time with a unit that keeps 2-3 significant digits readable
-// across the ns..s range the operators actually span.
-std::string FmtNs(uint64_t ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof buf, "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof buf, "%.2fus", static_cast<double>(ns) / 1e3);
-  } else if (ns < 10'000'000'000ull) {
-    std::snprintf(buf, sizeof buf, "%.2fms", static_cast<double>(ns) / 1e6);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.2fs", static_cast<double>(ns) / 1e9);
-  }
-  return buf;
-}
-
 void Flatten(const PlanNode& n, int parent, int depth, QueryTrace* out) {
   if (!n.runtime.executed) return;  // an error path never ran this subtree
   TraceSpan span;
@@ -62,9 +35,15 @@ void Flatten(const PlanNode& n, int parent, int depth, QueryTrace* out) {
   span.peak_rows = n.runtime.peak_rows;
   int self_index = static_cast<int>(out->spans.size());
   out->spans.push_back(std::move(span));
-  for (const PlanPtr& c : n.children) {
-    Flatten(*c, self_index, depth + 1, out);
-  }
+  // Children in execution order: an adaptive re-plan may put a subset
+  // materialized in an earlier stage after its new sibling.
+  std::vector<const PlanNode*> kids;
+  for (const PlanPtr& c : n.children) kids.push_back(c.get());
+  std::stable_sort(kids.begin(), kids.end(),
+                   [](const PlanNode* a, const PlanNode* b) {
+                     return a->runtime.start_ns < b->runtime.start_ns;
+                   });
+  for (const PlanNode* c : kids) Flatten(*c, self_index, depth + 1, out);
 }
 
 void JsonEscape(const std::string& s, std::string* out) {
@@ -171,69 +150,6 @@ std::string TraceToJson(const QueryTrace& trace) {
     RenderSpan(trace, 0, 1, &out);
   }
   out.append("\n}\n");
-  return out;
-}
-
-std::string ExplainAnalyze(const PlanNode& root) {
-  std::string out;
-  // Recursive lambda over the tree, mirroring Explain()'s layout with
-  // the runtime annotations appended per line.
-  struct Renderer {
-    std::string* out;
-    void Render(const PlanNode& n, int depth) {
-      out->append(static_cast<size_t>(depth) * 2, ' ');
-      AppendNodeSummary(n, out);
-      out->append(" est=").append(FmtEstRows(n.est_rows));
-      char buf[96];
-      if (n.runtime.executed && n.runtime.rows_known) {
-        std::snprintf(buf, sizeof buf, " actual=%zu q=%.2f",
-                      n.runtime.actual_rows,
-                      QError(n.est_rows,
-                             static_cast<double>(n.runtime.actual_rows)));
-        out->append(buf);
-      } else {
-        out->append(n.runtime.executed ? " actual=?" : " actual=-");
-      }
-      if (n.runtime.strategy != nullptr) {
-        out->append(" (").append(n.runtime.strategy).append(")");
-      }
-      if (n.replanned) {
-        if (n.replan_obs > 0) {
-          std::snprintf(buf, sizeof buf, " [replanned est=%s→obs=%.0f]",
-                        FmtEstRows(n.replan_est).c_str(), n.replan_obs);
-          out->append(buf);
-        } else {
-          out->append(" [replanned]");
-        }
-      }
-      if (n.runtime.profiled) {
-        out->append(" self=").append(FmtNs(n.runtime.self_ns));
-        out->append(" cum=").append(
-            FmtNs(n.runtime.end_ns - n.runtime.start_ns));
-        std::snprintf(buf, sizeof buf, " peak=%zu", n.runtime.peak_rows);
-        out->append(buf);
-      }
-      if (n.op == PlanOp::kFixpointStar && n.runtime.executed) {
-        std::snprintf(buf, sizeof buf, " rounds=%zu (probe=%zu, hash=%zu)",
-                      n.runtime.rounds, n.runtime.probe_rounds,
-                      n.runtime.hash_rounds);
-        out->append(buf);
-      }
-      if (n.op == PlanOp::kDijkstraScan && n.runtime.executed) {
-        if (n.runtime.sp_reached) {
-          std::snprintf(buf, sizeof buf, " dist=%lld settled=%zu",
-                        static_cast<long long>(n.runtime.sp_distance),
-                        n.runtime.sp_settled);
-          out->append(buf);
-        } else {
-          out->append(" unreachable");
-        }
-      }
-      out->append("\n");
-      for (const PlanPtr& c : n.children) Render(*c, depth + 1);
-    }
-  };
-  Renderer{&out}.Render(root, 0);
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Per-query, per-operator execution profiling over the shared plan
 // executor — the observability layer's query-side half.
 //
-// ExecutePlan(root, store, limits, /*profile=*/true) timestamps every
-// operator against one steady-clock origin and fills PlanRuntime's
+// ExecutePlan(root, store, limits, /*profile=*/true) — and likewise
+// ExecuteAdaptive, whose stages all run on one executor — timestamps
+// every operator against one steady-clock origin and fills PlanRuntime's
 // profiling fields (start/end/self nanoseconds, actual rows, peak
 // intermediate size) next to the fields the unprofiled path already
 // recorded (strategy taken, fixpoint round split).  This header turns
@@ -21,9 +22,11 @@
 //                          in order; parallelism lives inside operator
 //                          kernels), so start/end pairs are monotone
 //                          along any root-to-leaf path and across
-//                          sibling order.  TraceToJson renders the
-//                          nested JSON exported by `trial_store
-//                          --analyze --trace=PATH`.
+//                          sibling order.  An adaptive run's parent
+//                          spans widen to cover the children spliced
+//                          in from earlier stages.  TraceToJson
+//                          renders the nested JSON exported by
+//                          `trial_store --analyze --trace=PATH`.
 //
 //   TraceSink              the per-query consumption API: the future
 //                          trial_serve stats endpoint and the ROADMAP

@@ -204,6 +204,47 @@ TEST(AdaptiveGolden, ReplansAndFlipsJoinOrderOnCorrelatedMisestimate) {
   EXPECT_EQ(R1Depth(*warm.plan, 0), 2) << Explain(*warm.plan);
 }
 
+// A region leaf that is itself a reordered join region carries the inner
+// region's masks on its inner nodes.  A re-plan must never bind those
+// to the outer region's materialized subsets: it once did, and the
+// nested leaf then ran on the wrong inputs and the query came back
+// empty.
+TEST(AdaptiveEquivalence, NestedRegionLeafKeepsItsOwnInputs) {
+  Fixture fx = MisestimateFixture(2000);
+  TripleStore& st = fx.store;
+  RelId r2 = st.AddRelation("R2");  // finds the fixture's R2
+  const size_t b = 1000;
+  for (size_t i = 0; i < b; ++i) {
+    st.Add(r2, st.InternObject("n" + std::to_string(i)),
+           st.InternObject("pb1"),
+           st.InternObject("n" + std::to_string((i * 7) % b)));
+  }
+  JoinSpec chain = Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)});
+  for (const char* inner_right : {"R3", "R2"}) {
+    ExprPtr nested = Expr::Select(
+        Expr::Join(Expr::Rel("R2"), Expr::Rel(inner_right), chain),
+        Where({Neq(Pos::P1, Pos::P3)}));
+    ExprPtr e = Expr::Join(
+        Expr::Join(
+            Expr::Select(Expr::Rel("R1"), Where({EqConst(Pos::P2, fx.p0)})),
+            Expr::Rel("R2"), chain),
+        nested, chain);
+    PlanPtr sp = PlanExpr(e, st);
+    auto want = ExecutePlan(*sp, st);
+    ASSERT_TRUE(want.ok());
+    FeedbackCache fb;
+    ExecLimits lim;
+    lim.q_error_threshold = 2;
+    AdaptiveResult ar;
+    auto got = ExecuteAdaptive(e, st, lim, false, &ar, &fb);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_GE(ar.replans, 1u) << inner_right;
+    EXPECT_TRUE(*got == *want)
+        << inner_right << ": " << got->size() << " vs " << want->size()
+        << "\n" << Explain(*ar.plan);
+  }
+}
+
 // ---- FeedbackCache scoping --------------------------------------------
 
 TEST(FeedbackCacheTest, HitsOnlySameStoreAndEpoch) {

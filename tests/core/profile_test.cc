@@ -1,7 +1,8 @@
 // The profiling half of the observability layer: EXPLAIN ANALYZE
-// rendering, span-trace collection and nesting invariants, q-error
-// agreement with the planner-estimate tests, the trace sink API, and
-// the contract that the unprofiled executor path records nothing.
+// rendering, span-trace collection and nesting invariants (static and
+// adaptive runs), q-error agreement with the planner-estimate tests,
+// the trace sink API, and the contract that the unprofiled executor
+// path records nothing.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 
 #include "core/builder.h"
 #include "core/eval.h"
+#include "core/plan/adapt.h"
 #include "core/plan/plan.h"
 #include "core/plan/profile.h"
 #include "graph/generators.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace trial {
@@ -177,6 +180,75 @@ TEST(SpanTrace, NestsForDpReorderedPlanAcrossThreadCounts) {
     EXPECT_NE(json.find("\"query\": \"multi-join\""), std::string::npos);
     EXPECT_NE(json.find("\"children\": ["), std::string::npos);
   }
+}
+
+// Mirrors adaptive_test.cc's MisestimateFixture: half of R1 sits on one
+// hot predicate p0, so uniformity prices sigma[2=p0](R1) at ~2 rows
+// against 2000 actual and the first stage of
+// ((sigma[2=p0](R1) JOIN R2) JOIN R3) triggers a mid-query re-plan.
+TripleStore MisestimateStore(ObjId* p0) {
+  TripleStore st;
+  RelId r1 = st.AddRelation("R1");
+  RelId r2 = st.AddRelation("R2");
+  RelId r3 = st.AddRelation("R3");
+  *p0 = st.InternObject("p0");
+  auto obj = [&](const char* prefix, size_t i) {
+    return st.InternObject(prefix + std::to_string(i));
+  };
+  const size_t hot = 2000, keys = 50, b = hot / 2, sel = 50;
+  for (size_t i = 0; i < hot; ++i) {
+    st.Add(r1, obj("s", i), *p0, obj("m", i % keys));
+    st.Add(r1, obj("t", i), obj("q", i), obj("u", i));
+  }
+  for (size_t i = 0; i < b; ++i) {
+    st.Add(r2, obj("m", i % keys), obj("pb", 0), obj("n", i));
+  }
+  for (size_t j = 0; j < sel; ++j) {
+    st.Add(r3, obj("n", (j * (b / sel)) % b), obj("pc", 0), obj("o", j));
+  }
+  for (RelId r = 0; r < st.NumRelations(); ++r) st.RelationStats(r);
+  return st;
+}
+
+// An adaptive run executes its stages on one executor, so the assembled
+// tree's spans share one clock origin and meet every static-plan
+// invariant; the trigger node's span detail carries the re-plan mark,
+// and the query is accounted exactly once however many stages ran.
+TEST(SpanTrace, NestsForAdaptiveReplannedRunAcrossThreadCounts) {
+  ObjId p0 = 0;
+  TripleStore store = MisestimateStore(&p0);
+  JoinSpec chain = Spec(Pos::P1, Pos::P2, Pos::P3p, {Eq(Pos::P3, Pos::P1p)});
+  ExprPtr e = Expr::Join(
+      Expr::Join(Expr::Select(Expr::Rel("R1"), Where({EqConst(Pos::P2, p0)})),
+                 Expr::Rel("R2"), chain),
+      Expr::Rel("R3"), chain);
+  const bool was_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  for (size_t threads : {1u, 2u, 4u}) {
+    ExecLimits limits;
+    limits.exec.num_threads = threads;
+    limits.exec.min_parallel_items = 16;  // force the parallel kernels
+    FeedbackCache fb;  // cold: the first stage must re-plan
+    const uint64_t queries = reg.GetCounter("exec.queries")->value();
+    const uint64_t timed = reg.GetHistogram("exec.query_ns")->count();
+    AdaptiveResult ar;
+    auto r = ExecuteAdaptive(e, store, limits, /*profile=*/true, &ar, &fb);
+    ASSERT_TRUE(r.ok()) << "threads " << threads;
+    EXPECT_EQ(reg.GetCounter("exec.queries")->value(), queries + 1);
+    EXPECT_EQ(reg.GetHistogram("exec.query_ns")->count(), timed + 1);
+    EXPECT_GE(ar.replans, 1u) << "threads " << threads;
+    ASSERT_NE(ar.plan, nullptr);
+    QueryTrace trace = CollectTrace(*ar.plan, "adaptive", threads);
+    EXPECT_EQ(trace.spans.size(), ar.plan->TreeSize());
+    CheckSpanInvariants(trace);
+    bool marked = false;
+    for (const TraceSpan& s : trace.spans) {
+      marked = marked || s.detail.find("[replanned") != std::string::npos;
+    }
+    EXPECT_TRUE(marked) << TraceToJson(trace);
+  }
+  SetMetricsEnabled(was_enabled);
 }
 
 TEST(ExplainAnalyzeRender, AnnotatesEveryLineWithRuntimeFields) {
