@@ -27,10 +27,11 @@
 namespace trial {
 namespace {
 
-// Thread counts for the Procedure 3/4 columns (the `threads` column of
-// the committed baseline).  On a single-core host ("host_cores" in the
-// JSON) the >1-thread rows are core-bound: they measure chunking
-// overhead, not speedup, and should be re-recorded on real cores.
+// Thread counts for the Procedure 4 columns (the `threads` column of
+// the committed baseline); Procedure 3 is serial and timed once.  On a
+// single-core host ("host_cores" in the JSON) the >1-thread rows are
+// core-bound: they measure chunking overhead, not speedup, and should
+// be re-recorded on real cores.
 constexpr size_t kThreadSweep[] = {1, 2, 4};
 
 struct Measurement {
@@ -55,7 +56,7 @@ void RunOne(const char* title, bool same_middle) {
     exec.num_threads = threads;
     exec.min_parallel_items = 256;
     return same_middle ? StarReachSameMiddle(base, exec)
-                       : StarReachAnyPath(base, exec);
+                       : StarReachAnyPath(base);
   };
 
   TablePrinter table({"|T|", "|O|", "naive_ms", "proc_1t_ms", "proc_2t_ms",
@@ -80,6 +81,10 @@ void RunOne(const char* title, bool same_middle) {
                                     TablePrinter::Fmt(store.NumObjects()),
                                     tn < 0 ? "-" : TablePrinter::Fmt(tn * 1e3)};
     for (size_t ti = 0; ti < std::size(kThreadSweep); ++ti) {
+      if (!same_middle && ti > 0) {
+        row.push_back("-");
+        continue;
+      }
       double tf =
           bench::TimeStable([&] { (void)procedure(base, kThreadSweep[ti]); });
       row.push_back(TablePrinter::Fmt(tf * 1e3));
@@ -111,7 +116,8 @@ void WriteJson(const char* path) {
                "  \"benchmark\": \"bench_reachta\",\n"
                "  \"description\": \"Proposition 5 reachTA= baseline: naive "
                "fixpoint vs Procedure 3/4 fast paths (threads column: "
-               "ExecOptions{num_threads})\",\n"
+               "ExecOptions{num_threads}; Procedure 3 is serial, one row "
+               "per size)\",\n"
                "  \"host_cores\": %zu,\n"
                "  \"core_bound_note\": \"%s\",\n"
                "  \"measurements\": [\n",

@@ -16,8 +16,10 @@
 #ifndef TRIAL_CORE_EVAL_H_
 #define TRIAL_CORE_EVAL_H_
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "core/exec_limits.h"
 #include "core/expr.h"
@@ -100,6 +102,100 @@ TripleSet KernelResult(std::vector<std::vector<Triple>> runs,
                        const ExecOptions& exec);
 /// KernelResult of a single output buffer.
 TripleSet KernelResult(std::vector<Triple> out, const ExecOptions& exec);
+
+/// Runs a kernel over chunks of its input: `split(k)` cuts the input
+/// into (at most) k chunks and body(chunk, &buffer) fills one private
+/// output buffer per chunk; the buffers come back in chunk order.  k is
+/// threads * kChunksPerThread when exec.ShouldParallelize(work), else 1,
+/// and a single chunk runs inline on the calling thread (it never
+/// touches the pool).  Chunk boundaries depend only on k, so a kernel
+/// whose body writes only its own buffer is deterministic for a given
+/// k, and one whose runs are merged into a set is byte-identical at
+/// every thread count.
+template <typename Split, typename Body>
+std::vector<std::vector<Triple>> ChunkRuns(size_t work,
+                                           const ExecOptions& exec,
+                                           const Split& split,
+                                           const Body& body) {
+  const size_t threads = exec.EffectiveThreads();
+  const auto chunks =
+      split(exec.ShouldParallelize(work) ? threads * kChunksPerThread : 1);
+  std::vector<std::vector<Triple>> runs(chunks.size());
+  auto run = [&](size_t c) { body(chunks[c], &runs[c]); };
+  if (runs.size() == 1) {
+    run(0);
+  } else {
+    ParallelFor(runs.size(), threads, run);
+  }
+  return runs;
+}
+
+/// Rows a chunk emits between two flushes of its count into its
+/// kernel's shared result-size total: a runaway kernel stops within a
+/// stride per chunk, without an atomic per row.
+inline constexpr size_t kGuardStride = 4096;
+
+/// A chunk's handle on the result-size guard of a GuardedKernel.
+class ChunkGuard {
+ public:
+  /// The kernel's emitted-row total, shared by its chunks.
+  struct Total {
+    explicit Total(size_t max_rows) : limit(max_rows) {}
+    const size_t limit;
+    std::atomic<size_t> rows{0};
+    std::atomic<bool> exceeded{false};
+  };
+
+  explicit ChunkGuard(Total& total) : total_(total) {}
+
+  /// False once the kernel's total is known to exceed the limit: the
+  /// chunk should stop emitting.  `rows` is the chunk's emitted count —
+  /// its buffer size, or the size it is about to reach.
+  bool operator()(size_t rows) {
+    if (total_.exceeded.load(std::memory_order_relaxed)) return false;
+    return rows < flushed_ + kGuardStride || Flush(rows);
+  }
+
+  /// Adds the chunk's unflushed rows to the total; false when the total
+  /// then exceeds the limit.
+  bool Flush(size_t rows) {
+    if (rows > flushed_) {
+      size_t added = rows - flushed_;
+      flushed_ = rows;
+      if (total_.rows.fetch_add(added, std::memory_order_relaxed) + added >
+          total_.limit) {
+        total_.exceeded.store(true, std::memory_order_relaxed);
+      }
+    }
+    return !total_.exceeded.load(std::memory_order_relaxed);
+  }
+
+ private:
+  Total& total_;
+  size_t flushed_ = 0;
+};
+
+/// ChunkRuns with a result-size guard, for the join and Procedure 4
+/// kernels: body(chunk, &buffer, guard) calls guard(rows) as it emits
+/// and stops when it returns false.  Every chunk's rows count toward
+/// one total, so the kernel returns kResourceExhausted (`what`) exactly
+/// when it emits more than `max_rows` rows before dedup — the same
+/// outcome at every thread count — and KernelResult(runs) otherwise.
+template <typename Split, typename Body>
+Result<TripleSet> GuardedKernel(size_t work, const ExecOptions& exec,
+                                size_t max_rows, const char* what,
+                                const Split& split, const Body& body) {
+  ChunkGuard::Total total(max_rows);
+  std::vector<std::vector<Triple>> runs = ChunkRuns(
+      work, exec, split,
+      [&](const auto& chunk, std::vector<Triple>* out) {
+        ChunkGuard guard(total);
+        body(chunk, out, guard);
+        guard.Flush(out->size());
+      });
+  if (total.exceeded.load()) return Status::ResourceExhausted(what);
+  return KernelResult(std::move(runs), exec);
+}
 
 /// π_{1,3}: the pairs (s, o) of a triple set, as triples (s, s, o) are
 /// NOT produced — this is the API-edge projection used when comparing

@@ -40,11 +40,13 @@ struct ExecLimits {
   /// which ExecuteAdaptive re-plans the remaining join region.
   double q_error_threshold = 10.0;
 
-  /// Parallel execution knobs, honored by the plan executor's join and
-  /// fixpoint kernels, the Procedure 3/4 fast paths and the Datalog
-  /// leading-atom matcher; the naive and matrix reference engines stay
-  /// serial.  Results are identical for every thread count (chunked
-  /// execution, in-order merge).
+  /// Parallel execution knobs, honored by the plan executor's kernels
+  /// (joins, fixpoint stars and Procedure 4 as chunk bodies of
+  /// ChunkRuns in core/eval.h, the reach index's emission, result
+  /// sorts) and the Datalog leading-atom matcher; the naive and matrix
+  /// reference engines and the Procedure 3 oracle stay serial.  Results
+  /// are identical for every thread count (chunked execution, in-order
+  /// merge).
   ExecOptions exec;
 };
 

@@ -1,13 +1,11 @@
 #include "core/fast_reach.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "core/eval.h"
 #include "core/reach/graph.h"
-#include "util/parallel.h"
 
 namespace trial {
 namespace {
@@ -22,12 +20,13 @@ namespace {
 //    out-neighbors of u are base.LookupPair(s=u, p=m) — an SPO prefix
 //    probe; sources are the group's distinct (m, o) runs.
 //
-// Parallel execution: every source's DFS (Procedure 3) and every middle
-// group (Procedure 4) is independent, so chunks of the source/group
-// list expand concurrently with chunk-private scratch; reach sets are
-// indexed by source, not by worker, and output chunks merge in order,
-// so results are identical for any thread count.  All permutations the
-// workers read are materialized before the parallel sections.
+// Procedure 3 is serial: no plan runs it, it is the oracle the interval
+// index is checked and timed against.  Procedure 4's middle groups are
+// independent, so it is a chunk body of GuardedKernel (core/eval.h):
+// chunks of the group list expand with chunk-private scratch, one chunk
+// when serial, and their output runs are merged into one sorted set, so
+// results are identical for any thread count.  The permutations the
+// chunks read are materialized before the chunks run.
 
 constexpr uint32_t kUnset = UINT32_MAX;
 
@@ -35,14 +34,13 @@ constexpr uint32_t kUnset = UINT32_MAX;
 // shared with the interval reachability index and Dijkstra.
 using NodeMap = reach::NodeMap;
 
-// DFS scratch sized by the dense node count; one per worker chunk,
-// reused across that chunk's sources via stamps.  Procedure 3 needs
-// only the visit marks (its slot map lives outside the scratch, shared
-// read-only by the emission phase).
+// DFS scratch sized by the dense node count, reused across sources via
+// stamps.  Procedure 3 needs only the visit marks (its slot map lives
+// outside the scratch, read by the emission phase).
 struct MarkScratch {
   explicit MarkScratch(size_t n) : mark(n, kUnset) {}
 
-  std::vector<uint32_t> mark;   // stamped with a per-chunk source counter
+  std::vector<uint32_t> mark;   // stamped with a source counter
   std::vector<uint32_t> stack;  // dense DFS stack
 };
 
@@ -58,9 +56,8 @@ struct GroupScratch : MarkScratch {
 
 }  // namespace
 
-Result<TripleSet> StarReachAnyPath(const TripleSet& base,
-                                   const ExecOptions& exec) {
-  base.Materialize(IndexOrder::kOSP, exec);  // sources come off OSP
+Result<TripleSet> StarReachAnyPath(const TripleSet& base) {
+  base.Materialize(IndexOrder::kOSP);  // sources come off OSP
   const std::vector<Triple>& spo = base.triples();
   if (spo.empty()) return TripleSet();
   NodeMap ids(base);
@@ -87,68 +84,43 @@ Result<TripleSet> StarReachAnyPath(const TripleSet& base,
     sources.push_back(t.o);
   }
 
-  // Per-source reflexive-transitive closure.  Each source writes only
-  // its own reach slot, so source chunks expand concurrently.
+  // Per-source reflexive-transitive closure; the visit marks are
+  // stamped with the source's index, so they are never cleared.
   std::vector<std::vector<ObjId>> reach(sources.size());
-  auto expand_chunk = [&](size_t begin, size_t end) {
-    MarkScratch scratch(ids.size());
-    for (size_t si = begin; si < end; ++si) {
-      uint32_t stamp = static_cast<uint32_t>(si - begin);
-      uint32_t src = ids.Dense(sources[si]);
-      std::vector<ObjId>& rs = reach[si];
-      scratch.stack.assign(1, src);
-      scratch.mark[src] = stamp;
-      rs.push_back(sources[si]);
-      while (!scratch.stack.empty()) {
-        uint32_t u = scratch.stack.back();
-        scratch.stack.pop_back();
-        for (uint32_t e = run_lo[u]; e < run_hi[u]; ++e) {
-          uint32_t v = ids.Dense(spo[e].o);
-          if (scratch.mark[v] != stamp) {
-            scratch.mark[v] = stamp;
-            rs.push_back(spo[e].o);
-            scratch.stack.push_back(v);
-          }
+  MarkScratch scratch(ids.size());
+  for (size_t si = 0; si < sources.size(); ++si) {
+    uint32_t stamp = static_cast<uint32_t>(si);
+    uint32_t src = ids.Dense(sources[si]);
+    std::vector<ObjId>& rs = reach[si];
+    scratch.stack.assign(1, src);
+    scratch.mark[src] = stamp;
+    rs.push_back(sources[si]);
+    while (!scratch.stack.empty()) {
+      uint32_t u = scratch.stack.back();
+      scratch.stack.pop_back();
+      for (uint32_t e = run_lo[u]; e < run_hi[u]; ++e) {
+        uint32_t v = ids.Dense(spo[e].o);
+        if (scratch.mark[v] != stamp) {
+          scratch.mark[v] = stamp;
+          rs.push_back(spo[e].o);
+          scratch.stack.push_back(v);
         }
       }
     }
-  };
-  size_t threads = exec.EffectiveThreads();
-  if (exec.ShouldParallelize(sources.size())) {
-    // One chunk per thread, not oversplit: every chunk pays an O(n)
-    // scratch zero-fill, so fewer, larger chunks win here (the stamp
-    // reuse amortizes the fill across the chunk's sources).
-    std::vector<ChunkRange> chunks = SplitEven(sources.size(), threads);
-    ParallelFor(chunks.size(), threads,
-                [&](size_t c) { expand_chunk(chunks[c].begin, chunks[c].end); });
-  } else {
-    expand_chunk(0, sources.size());
   }
 
   // Emission: (s, p, l) for every base triple and every l reachable
   // from its object.
-  auto emit = [&](size_t, size_t begin, size_t end,
-                  std::vector<Triple>* out) {
-    size_t n = 0;
-    for (size_t i = begin; i < end; ++i) {
-      n += reach[slot_of[ids.Dense(spo[i].o)]].size();
+  size_t rows = 0;
+  for (const Triple& t : spo) rows += reach[slot_of[ids.Dense(t.o)]].size();
+  std::vector<Triple> out;
+  out.reserve(rows);
+  for (const Triple& t : spo) {
+    for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
+      out.push_back(Triple{t.s, t.p, l});
     }
-    out->reserve(n);
-    for (size_t i = begin; i < end; ++i) {
-      const Triple& t = spo[i];
-      for (ObjId l : reach[slot_of[ids.Dense(t.o)]]) {
-        out->push_back(Triple{t.s, t.p, l});
-      }
-    }
-  };
-  std::vector<std::vector<Triple>> runs;
-  if (exec.ShouldParallelize(spo.size())) {
-    runs = ParallelChunkedRuns<Triple>(spo.size(), threads, emit);
-  } else {
-    runs.resize(1);
-    emit(0, 0, spo.size(), &runs[0]);
   }
-  return KernelResult(std::move(runs), exec);
+  return TripleSet(std::move(out));
 }
 
 Result<TripleSet> StarReachSameMiddle(const TripleSet& base,
@@ -170,19 +142,17 @@ Result<TripleSet> StarReachSameMiddle(const TripleSet& base,
     gb = ge;
   }
 
-  // Processes groups [gbegin, gend), appending output triples in group
-  // order.  Chunk-local scratch: `si` stamps stay distinct across the
-  // chunk's groups, so slot entries from earlier groups are ignored via
-  // the generation guard instead of a per-group clear.  A group counts
-  // its rows into the shared total before emitting, as in Procedure 3.
-  std::atomic<size_t> rows{0};
-  auto process_groups = [&](size_t gbegin, size_t gend,
-                            std::vector<Triple>* out) {
+  // Processes the chunk's range of groups, appending output triples in
+  // group order.  Chunk-local scratch: `si` stamps stay distinct across
+  // the chunk's groups, so slot entries from earlier groups are ignored
+  // via the generation guard instead of a per-group clear.  A group's
+  // rows are counted into the guard before it emits them.
+  auto process_groups = [&](ChunkRange chunk, std::vector<Triple>* out,
+                            ChunkGuard& guard) {
     GroupScratch scratch(ids.size());
     uint32_t next_si = 0;
     std::vector<std::vector<ObjId>> reach;
-    for (size_t g = gbegin; g < gend; ++g) {
-      if (rows.load(std::memory_order_relaxed) > max_result_triples) return;
+    for (size_t g = chunk.begin; g < chunk.end; ++g) {
       const Triple* gb = groups[g].begin();
       const Triple* ge = groups[g].end();
       ObjId mid = gb->p;
@@ -219,10 +189,7 @@ Result<TripleSet> StarReachSameMiddle(const TripleSet& base,
       for (const Triple* t = gb; t != ge; ++t) {
         n += reach[scratch.slot[ids.Dense(t->o)]].size();
       }
-      if (rows.fetch_add(n, std::memory_order_relaxed) + n >
-          max_result_triples) {
-        return;
-      }
+      if (!guard(out->size() + n)) return;
       for (const Triple* t = gb; t != ge; ++t) {
         for (ObjId l : reach[scratch.slot[ids.Dense(t->o)]]) {
           out->push_back(Triple{t->s, mid, l});
@@ -230,22 +197,10 @@ Result<TripleSet> StarReachSameMiddle(const TripleSet& base,
       }
     }
   };
-
-  std::vector<std::vector<Triple>> runs;
-  if (exec.ShouldParallelize(pos.size()) && groups.size() > 1) {
-    runs = ParallelChunkedRuns<Triple>(
-        groups.size(), exec.EffectiveThreads(),
-        [&](size_t, size_t begin, size_t end, std::vector<Triple>* out) {
-          process_groups(begin, end, out);
-        });
-  } else {
-    runs.resize(1);
-    process_groups(0, groups.size(), &runs[0]);
-  }
-  if (rows.load() > max_result_triples) {
-    return Status::ResourceExhausted("star result too large");
-  }
-  return KernelResult(std::move(runs), exec);
+  return GuardedKernel(pos.size(), exec, max_result_triples,
+                       "star result too large",
+                       [&](size_t k) { return SplitEven(groups.size(), k); },
+                       process_groups);
 }
 
 }  // namespace trial

@@ -21,26 +21,21 @@ namespace trial {
 /// reflexive-transitive closure from every needed source, and emit
 /// (i, k, l) for every (i, k, j) ∈ R and l reachable from j.
 ///
-/// With exec.num_threads > 1 the per-source frontier expansions (every
-/// source's DFS is independent) and the output emission run on the
-/// thread pool in deterministic chunks, and a large output is sorted by
-/// the parallel KernelResult; results are identical to the serial path
-/// for any thread count.
-///
-/// No plan runs it: the planner lowers every such star to the interval
-/// index's ReachIndexScan (core/reach/reach_index.h).  It stays as the
-/// oracle that tests and benchmarks check and time the index against,
-/// so it has no result-size guard.
-Result<TripleSet> StarReachAnyPath(const TripleSet& base,
-                                   const ExecOptions& exec = {});
+/// Serial.  No plan runs it: the planner lowers every such star to the
+/// interval index's ReachIndexScan (core/reach/reach_index.h).  It
+/// stays as the oracle that tests and benchmarks check and time the
+/// index against, so it has no result-size guard and no thread knob.
+Result<TripleSet> StarReachAnyPath(const TripleSet& base);
 
 /// (R ⋈^{1,2,3'}_{3=1',2=2'})* — Procedure 4, sparse: same computation
 /// restricted to the subgraph of triples sharing each middle element.
-/// Parallelism is per middle group (groups are independent).
+/// Middle groups are independent: with exec.num_threads > 1 chunks of
+/// them run in parallel on GuardedKernel (core/eval.h), and results are
+/// identical for any thread count.
 ///
 /// kResourceExhausted when more than `max_result_triples` rows would be
-/// emitted.  Like the join probe loop's guard, it counts rows before
-/// dedup, so success or failure never depends on the thread count.
+/// emitted.  Like the join kernels' guard, it counts rows before dedup,
+/// so success or failure never depends on the thread count.
 Result<TripleSet> StarReachSameMiddle(
     const TripleSet& base, const ExecOptions& exec = {},
     size_t max_result_triples = SIZE_MAX);

@@ -10,6 +10,7 @@ struct Parser {
   std::string_view text;
   size_t pos = 0;
   const TripleStore* store;
+  size_t depth = 0;  // open '(' and 'sigma[' levels
 
   Status Err(const std::string& msg) {
     return Status::InvalidArgument(msg + " at offset " + std::to_string(pos));
@@ -172,6 +173,20 @@ struct Parser {
             text[pos] != '_');
   }
 
+  // One level of '(' or 'sigma[' nesting, left when the operator's
+  // parse returns.  Parsing fails once the depth passes
+  // kMaxTriALNesting, before the recursion can exhaust the stack.
+  struct Level {
+    explicit Level(size_t* d) : depth(d) { ++*depth; }
+    ~Level() { --*depth; }
+    size_t* depth;
+  };
+  Status CheckDepth() {
+    if (depth <= kMaxTriALNesting) return Status::OK();
+    return Err("expression nests deeper than " +
+               std::to_string(kMaxTriALNesting) + " levels");
+  }
+
   Result<ExprPtr> ParseExpr() {
     {
       size_t saved = pos;
@@ -180,6 +195,8 @@ struct Parser {
     }
     if (Consume("{}")) return Expr::Empty();
     if (Consume("sigma[")) {
+      Level level(&depth);
+      TRIAL_RETURN_IF_ERROR(CheckDepth());
       TRIAL_ASSIGN_OR_RETURN(CondSet cond, ParseCond(']'));
       TRIAL_RETURN_IF_ERROR(Expect("]"));
       TRIAL_RETURN_IF_ERROR(Expect("("));
@@ -189,6 +206,8 @@ struct Parser {
       return Expr::Select(sub, std::move(cond));
     }
     if (Consume("(")) {
+      Level level(&depth);
+      TRIAL_RETURN_IF_ERROR(CheckDepth());
       // Left star: (JOIN[spec] e)*.
       if (Consume("JOIN[")) {
         TRIAL_ASSIGN_OR_RETURN(JoinSpec spec, ParseSpec());

@@ -21,6 +21,7 @@
 #ifndef TRIAL_CORE_PARSER_H_
 #define TRIAL_CORE_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "core/expr.h"
@@ -29,8 +30,15 @@
 
 namespace trial {
 
+/// Operators ('(' and 'sigma[') one expression may nest: deeper input
+/// is kInvalidArgument, so parsing, lowering and evaluation, which all
+/// recurse over the tree, stay within the stack.
+inline constexpr size_t kMaxTriALNesting = 1000;
+
 /// Parses a TriAL(*) expression.  `store` is needed only to resolve
 /// quoted object names in conditions; it may be null otherwise.
+/// kInvalidArgument on a syntax error or nesting deeper than
+/// kMaxTriALNesting.
 Result<ExprPtr> ParseTriAL(std::string_view text,
                            const TripleStore* store = nullptr);
 

@@ -18,7 +18,6 @@
 // time, and adapt.cc supplies the re-plan hook (staged.h).
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <map>
@@ -41,16 +40,10 @@ namespace trial {
 namespace plan {
 namespace {
 
-// Parallel kernels flush per-chunk emit counts into the shared
-// result-size guard every this many outputs, so a runaway join aborts
-// promptly without contending on an atomic per triple.
-constexpr size_t kGuardStride = 4096;
-
-// Upper bound on the per-chunk reserve derived from a fixpoint's
-// estimated output cardinality (the planner's estimate is a hint, not a
-// promise — a wildly high star estimate must not balloon every chunk
-// buffer).  64Ki triples ≈ 768 KiB per chunk.
-constexpr size_t kMaxSegmentReserve = 64 * 1024;
+// Candidates one semi-naive delta segment aims to generate before the
+// fold drains them (about 3 MiB): bounds the star's candidate buffers
+// whatever its join's fan-out.
+constexpr size_t kSegmentCandidates = 256 * 1024;
 
 using TripleHashSet = std::unordered_set<Triple, TripleHash>;
 using HashIndex = std::unordered_map<uint64_t, std::vector<Triple>>;
@@ -140,14 +133,15 @@ class Executor {
     n.runtime.profiled = true;
     n.runtime.start_ns = MonotonicNanos() - origin_ns_;
     Result<TripleSet> result = ExecNode(n);
+    // ANALYZE counts every node, including the root: the caller asked
+    // for the rows, so the normalize size() forces is work the read was
+    // about to pay anyway.  It runs before the clock read, so the node's
+    // own span carries it (a stage root's too, not the next node's).
+    if (result.ok()) NoteRows(n, *result);
     n.runtime.end_ns = MonotonicNanos() - origin_ns_;
     CloseSpan(n);
     if (result.ok()) {
       n.runtime.executed = true;
-      // ANALYZE counts every node, including the root: the caller asked
-      // for the rows, so the normalize size() forces is work the read
-      // was about to pay anyway.
-      NoteRows(n, *result);
       if (n.runtime.peak_rows < n.runtime.actual_rows) {
         n.runtime.peak_rows = n.runtime.actual_rows;
       }
@@ -170,6 +164,12 @@ class Executor {
     if (!profile_) return;
     n.runtime.peak_rows = std::max(a.size(), b.size());
   }
+  // Executes n's children in order, then applies n's operator to their
+  // results.  The recursion runs through this function alone; the
+  // operators run in never-inlined Apply* functions, so their locals
+  // (kilobytes under the sanitizers) are off the stack while a child
+  // executes, and a kMaxTriALNesting-deep tree fits the stack in every
+  // build.
   Result<TripleSet> ExecNode(PlanNode& n) {
     // Adaptive execution: a bound node carries an already-materialized
     // intermediate spliced in by a mid-query re-plan (adapt.cc).  The
@@ -178,6 +178,20 @@ class Executor {
       n.runtime.strategy = "reused";
       return *n.bound;
     }
+    if (n.children.empty()) return ApplyLeaf(n);
+    TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
+    if (n.children.size() == 1) {
+      NoteRows(*n.children[0], a);
+      return ApplyUnary(n, a);
+    }
+    TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
+    NoteRows(*n.children[0], a);
+    NoteRows(*n.children[1], b);
+    NotePeakInputs(n, a, b);
+    return ApplyBinary(n, a, b);
+  }
+
+  __attribute__((noinline)) Result<TripleSet> ApplyLeaf(PlanNode& n) {
     switch (n.op) {
       case PlanOp::kIndexScan: {
         const TripleSet* rel = store_.FindRelation(n.rel_name);
@@ -190,60 +204,24 @@ class Executor {
         return TripleSet();
       case PlanOp::kUniverseRel:
         return MaterializeUniverse(store_, limits_.max_result_triples);
-      case PlanOp::kSelectFilter: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet in, Exec(*n.children[0]));
-        NoteRows(*n.children[0], in);
-        return SelectIndexed(in, n.spec.cond, store_, &n.runtime.strategy,
+      default:
+        return Status::Internal("unknown plan operator");
+    }
+  }
+
+  __attribute__((noinline)) Result<TripleSet> ApplyUnary(
+      PlanNode& n, const TripleSet& base) {
+    switch (n.op) {
+      case PlanOp::kSelectFilter:
+        return SelectIndexed(base, n.spec.cond, store_, &n.runtime.strategy,
                              limits_.exec);
-      }
-      case PlanOp::kUnionOp: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
-        TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
-        NoteRows(*n.children[0], a);
-        NoteRows(*n.children[1], b);
-        NotePeakInputs(n, a, b);
-        return TripleSet::Union(a, b);
-      }
-      case PlanOp::kMinusOp: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
-        TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
-        NoteRows(*n.children[0], a);
-        NoteRows(*n.children[1], b);
-        NotePeakInputs(n, a, b);
-        return TripleSet::Difference(a, b);
-      }
-      case PlanOp::kIndexProbeJoin:
-      case PlanOp::kHashJoin: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
-        TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
-        NoteRows(*n.children[0], a);
-        NoteRows(*n.children[1], b);
-        NotePeakInputs(n, a, b);
-        return Join(n, a, b);
-      }
-      case PlanOp::kMergeJoin: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet a, Exec(*n.children[0]));
-        TRIAL_ASSIGN_OR_RETURN(TripleSet b, Exec(*n.children[1]));
-        NoteRows(*n.children[0], a);
-        NoteRows(*n.children[1], b);
-        NotePeakInputs(n, a, b);
-        return MergeOrFallback(n, a, b);
-      }
-      case PlanOp::kReachFastPath: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
-        NoteRows(*n.children[0], base);
+      case PlanOp::kReachFastPath:
         n.runtime.strategy = "procedure-4";
         return StarReachSameMiddle(base, limits_.exec,
                                    limits_.max_result_triples);
-      }
-      case PlanOp::kFixpointStar: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
-        NoteRows(*n.children[0], base);
+      case PlanOp::kFixpointStar:
         return SemiNaiveStar(n, base);
-      }
       case PlanOp::kReachIndexScan: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
-        NoteRows(*n.children[0], base);
         n.runtime.strategy = "interval-index";
         // GetOrBuild attaches through `base`'s shared cache cell, so a
         // cold build on an IndexScan child warms the store's relation
@@ -257,8 +235,6 @@ class Executor {
         return idx->EmitStar(base, limits_.exec, limits_.max_result_triples);
       }
       case PlanOp::kDijkstraScan: {
-        TRIAL_ASSIGN_OR_RETURN(TripleSet base, Exec(*n.children[0]));
-        NoteRows(*n.children[0], base);
         n.runtime.strategy = "dijkstra";
         const ObjId src = store_.FindObject(n.sp_src);
         if (src == kInvalidIntern) {
@@ -279,8 +255,26 @@ class Executor {
         n.runtime.sp_settled = sp.settled;
         return std::move(sp.edges);
       }
+      default:
+        return Status::Internal("unknown plan operator");
     }
-    return Status::Internal("unknown plan operator");
+  }
+
+  __attribute__((noinline)) Result<TripleSet> ApplyBinary(
+      PlanNode& n, const TripleSet& a, const TripleSet& b) {
+    switch (n.op) {
+      case PlanOp::kUnionOp:
+        return TripleSet::Union(a, b);
+      case PlanOp::kMinusOp:
+        return TripleSet::Difference(a, b);
+      case PlanOp::kIndexProbeJoin:
+      case PlanOp::kHashJoin:
+        return Join(n, a, b);
+      case PlanOp::kMergeJoin:
+        return MergeOrFallback(n, a, b);
+      default:
+        return Status::Internal("unknown plan operator");
+    }
   }
 
   // Join: filter both sides by their one-sided atoms, locate candidate
@@ -368,14 +362,13 @@ class Executor {
     return MergeLoop(n, l, r, plan);
   }
 
-  // The merge kernel.  Parallel variant: the left run is cut into
-  // contiguous key-ordered slices (TripleSet's deterministic partition
-  // API); each slice binary-searches its first key into the right run
+  // The merge kernel.  The left run is cut into contiguous key-ordered
+  // slices (TripleSet's deterministic partition API; one slice when
+  // serial); each slice binary-searches its first key into the right run
   // once, then advances a private cursor monotonically.  Every left
-  // triple sees exactly the candidates the serial walk would hand it,
+  // triple sees exactly the candidates a whole-run walk would hand it,
   // and the slice buffers are sorted into one sorted-unique result, so
-  // the output is identical for any thread count.  The result-size
-  // guard mirrors ProbeLoop.
+  // the output is identical for any thread count.
   Result<TripleSet> MergeLoop(PlanNode& n, const TripleSet& l,
                               const TripleSet& r, const JoinPlan& plan) {
     const JoinSpec& spec = n.spec;
@@ -387,10 +380,9 @@ class Executor {
     l.Materialize(lorder, limits_.exec);
     r.Materialize(rorder, limits_.exec);
     TripleRange run = r.Scan(rorder);
-    // `match` walks one left slice.  Returns false when the overflow
-    // flag tripped (parallel only; serial passes a guard that errors).
+    // `match` walks one left slice, stopping when the guard trips.
     auto match = [&](TripleRange slice, std::vector<Triple>* out,
-                     const auto& guard) {
+                     ChunkGuard& guard) {
       const Triple* cur = run.begin();
       if (!slice.empty()) {
         ObjId first = (*slice.begin())[lc];
@@ -412,7 +404,7 @@ class Executor {
         assert(cur == run.end() || cur == run.begin() ||
                (*(cur - 1))[rc] <= (*cur)[rc]);
 #endif
-        if (!guard(out->size())) return false;
+        if (!guard(out->size())) return;
         if (!plan.PassesLeft(a, store_)) continue;
         ObjId k = a[lc];
         while (cur != run.end() && (*cur)[rc] < k) ++cur;
@@ -421,113 +413,33 @@ class Executor {
           out->push_back(spec.Output(a, *b));
         }
       }
-      return true;
     };
-    if (limits_.exec.ShouldParallelize(l.size())) {
-      size_t threads = limits_.exec.EffectiveThreads();
-      std::vector<TripleRange> slices =
-          l.Partitions(lorder, threads * kChunksPerThread);
-      std::vector<std::vector<Triple>> bufs(slices.size());
-      std::atomic<size_t> emitted{0};
-      std::atomic<bool> overflow{false};
-      ParallelFor(slices.size(), threads, [&](size_t c) {
-        size_t flushed = 0;
-        match(slices[c], &bufs[c], [&](size_t produced) {
-          if (overflow.load(std::memory_order_relaxed)) return false;
-          if (produced - flushed >= kGuardStride) {
-            size_t total = emitted.fetch_add(produced - flushed,
-                                             std::memory_order_relaxed) +
-                           (produced - flushed);
-            flushed = produced;
-            if (total > limits_.max_result_triples) {
-              overflow.store(true, std::memory_order_relaxed);
-              return false;
-            }
-          }
-          return true;
-        });
-        // Flush the sub-stride tail, exactly as ProbeLoop does after
-        // its loop: without it, `emitted` undercounts every finished
-        // slice by up to kGuardStride-1 rows and later slices guard
-        // against a stale total.
-        emitted.fetch_add(bufs[c].size() - flushed,
-                          std::memory_order_relaxed);
-      });
-      size_t total = 0;
-      for (const std::vector<Triple>& b : bufs) total += b.size();
-      if (overflow.load() || total > limits_.max_result_triples) {
-        return Status::ResourceExhausted("join result too large");
-      }
-      return KernelResult(std::move(bufs), limits_.exec);
-    }
-    std::vector<Triple> out;
-    bool fits = true;
-    match(l.Scan(lorder), &out, [&](size_t produced) {
-      fits = produced <= limits_.max_result_triples;
-      return fits;
-    });
-    if (!fits || out.size() > limits_.max_result_triples) {
-      return Status::ResourceExhausted("join result too large");
-    }
-    return KernelResult(std::move(out), limits_.exec);
+    return GuardedKernel(
+        l.size(), limits_.exec, limits_.max_result_triples,
+        "join result too large",
+        [&](size_t k) { return l.Partitions(lorder, k); }, match);
   }
 
   // The join probe loop: applies `match` (which appends verified output
-  // triples) to every left triple passing the one-sided filters.
-  // Parallel when the exec knobs allow: the left side is consumed
-  // through TripleSet's partition API — contiguous SPO slices, one
-  // private buffer each — and the buffers are sorted into one
-  // sorted-unique result (KernelResult), so the result is identical for
-  // any thread count.  The result-size guard counts emitted candidates
-  // exactly like the serial loop; slices flush their counts every
-  // kGuardStride outputs and abort the remaining work once the limit
-  // trips.
+  // triples) to every left triple passing the one-sided filters.  The
+  // left side is consumed through TripleSet's partition API —
+  // contiguous SPO slices, one private buffer each, one slice when
+  // serial — and the buffers are sorted into one sorted-unique result
+  // (KernelResult), so the result is identical for any thread count.
   template <typename Match>
   Result<TripleSet> ProbeLoop(const TripleSet& l, const JoinPlan& plan,
                               const Match& match) {
-    if (limits_.exec.ShouldParallelize(l.size())) {
-      size_t threads = limits_.exec.EffectiveThreads();
-      std::vector<TripleRange> slices =
-          l.Partitions(IndexOrder::kSPO, threads * kChunksPerThread);
-      std::vector<std::vector<Triple>> bufs(slices.size());
-      std::atomic<size_t> emitted{0};
-      std::atomic<bool> overflow{false};
-      ParallelFor(slices.size(), threads, [&](size_t c) {
-        std::vector<Triple>* out = &bufs[c];
-        size_t flushed = 0;
-        for (const Triple& a : slices[c]) {
-          if (overflow.load(std::memory_order_relaxed)) return;
-          if (!plan.PassesLeft(a, store_)) continue;
-          match(a, out);
-          if (out->size() - flushed >= kGuardStride) {
-            size_t total = emitted.fetch_add(out->size() - flushed,
-                                             std::memory_order_relaxed) +
-                           (out->size() - flushed);
-            flushed = out->size();
-            if (total > limits_.max_result_triples) {
-              overflow.store(true, std::memory_order_relaxed);
-              return;
-            }
+    return GuardedKernel(
+        l.size(), limits_.exec, limits_.max_result_triples,
+        "join result too large",
+        [&](size_t k) { return l.Partitions(IndexOrder::kSPO, k); },
+        [&](TripleRange slice, std::vector<Triple>* out, ChunkGuard& guard) {
+          for (const Triple& a : slice) {
+            if (!plan.PassesLeft(a, store_)) continue;
+            match(a, out);
+            if (!guard(out->size())) return;
           }
-        }
-        emitted.fetch_add(out->size() - flushed, std::memory_order_relaxed);
-      });
-      size_t total = 0;
-      for (const std::vector<Triple>& b : bufs) total += b.size();
-      if (overflow.load() || total > limits_.max_result_triples) {
-        return Status::ResourceExhausted("join result too large");
-      }
-      return KernelResult(std::move(bufs), limits_.exec);
-    }
-    std::vector<Triple> merged;
-    for (const Triple& a : l.triples()) {
-      if (!plan.PassesLeft(a, store_)) continue;
-      match(a, &merged);
-      if (merged.size() > limits_.max_result_triples) {
-        return Status::ResourceExhausted("join result too large");
-      }
-    }
-    return KernelResult(std::move(merged), limits_.exec);
+        });
   }
 
   // Semi-naive fixpoint: only the last round's delta re-joins the fixed
@@ -597,25 +509,18 @@ class Executor {
       }
       return true;
     };
-    // Per-chunk segment buffers are pre-sized from the planner's output
-    // estimate, capped hard (kMaxSegmentReserve) so an optimistic star
-    // estimate costs bounded memory: the arbitrary-path star is
-    // output-bound superlinear, and re-growing every chunk buffer every
-    // round was measurable allocation churn.  Reserve only — contents
-    // and merge order are untouched, so results stay byte-identical.
-    size_t threads = limits_.exec.EffectiveThreads();
-    size_t reserve_hint = 0;
-    const double est_out = n.est_rows;
-    if (est_out > 0) {
-      double per_chunk = est_out / static_cast<double>(
-                                       threads * kChunksPerThread);
-      // Clamp in double before the cast: estimates compound without
-      // bound through key-less joins, and casting an out-of-range
-      // double to size_t is UB.
-      reserve_hint = static_cast<size_t>(std::min(
-          per_chunk + 16.0, static_cast<double>(kMaxSegmentReserve)));
-    }
-    std::vector<Triple> scratch;
+    // Each round's delta is expanded in segments: a segment's candidates
+    // are generated in chunks (ChunkRuns: one chunk when serial, buffers
+    // in delta order) and folded into the accumulator before the next
+    // segment starts.  A segment is sized from the fan-out (candidates
+    // per delta triple) seen so far, to about kSegmentCandidates and at
+    // most twice the last one, so memory stays near one segment's
+    // candidates even for a key-less join.  The cut never shows: the
+    // fold sees every candidate in delta order and the only guard is the
+    // accumulator's size, so results and the guard's outcome are the
+    // same for every thread count.
+    size_t segment = 1;
+    double fanout = 1.0;
     for (size_t round = 0; round < limits_.max_rounds; ++round) {
       next.clear();
       bool use_probe =
@@ -628,39 +533,30 @@ class Executor {
         ++n.runtime.hash_rounds;
       }
       if (use_probe) base.Materialize(probe.Order(), limits_.exec);
-      if (limits_.exec.ShouldParallelize(delta.size())) {
-        // Parallel delta expansion in bounded segments: each segment's
-        // candidates are generated in parallel (chunk buffers merged in
-        // order, so the concatenation equals the serial encounter
-        // order) and folded into the accumulator before the next
-        // segment starts.  Memory stays ~ one segment's match count,
-        // and the only guard is the serial one — accumulator growth —
-        // so success/failure is identical for every thread count.
-        size_t segment = std::max(limits_.exec.min_parallel_items,
-                                  static_cast<size_t>(64 * 1024));
-        for (size_t sb = 0; sb < delta.size(); sb += segment) {
-          size_t count = std::min(segment, delta.size() - sb);
-          std::vector<Triple> cand = ParallelChunkedCollect<Triple>(
-              count, threads,
-              [&](size_t, size_t begin, size_t end,
-                  std::vector<Triple>* out) {
-                out->reserve(reserve_hint);
-                for (size_t i = begin; i < end; ++i) {
-                  candidates(delta[sb + i], use_probe, out);
-                }
-              });
-          if (!fold(cand)) {
+      for (size_t sb = 0, count = 0; sb < delta.size(); sb += count) {
+        count = std::min(segment, delta.size() - sb);
+        std::vector<std::vector<Triple>> runs = ChunkRuns(
+            count, limits_.exec,
+            [&](size_t k) { return SplitEven(count, k); },
+            [&](ChunkRange c, std::vector<Triple>* out) {
+              out->reserve(static_cast<size_t>(
+                  fanout * static_cast<double>(c.size()) + 16.0));
+              for (size_t i = c.begin; i < c.end; ++i) {
+                candidates(delta[sb + i], use_probe, out);
+              }
+            });
+        size_t produced = 0;
+        for (const std::vector<Triple>& run : runs) {
+          produced += run.size();
+          if (!fold(run)) {
             return Status::ResourceExhausted("star result too large");
           }
         }
-      } else {
-        for (const Triple& d : delta) {
-          scratch.clear();
-          candidates(d, use_probe, &scratch);
-          if (!fold(scratch)) {
-            return Status::ResourceExhausted("star result too large");
-          }
-        }
+        fanout = static_cast<double>(std::max<size_t>(produced, 1)) /
+                 static_cast<double>(count);
+        segment = std::max<size_t>(
+            1, std::min(2 * segment, static_cast<size_t>(
+                                         kSegmentCandidates / fanout)));
       }
       if (profile_) {
         // Peak intermediate = accumulator plus the round's live delta

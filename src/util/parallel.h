@@ -1,16 +1,18 @@
-// Parallel execution utilities: a process-wide thread pool plus chunked
-// parallel-for helpers used by the query kernels (hash-join probe loops,
-// semi-naive fixpoint rounds, the Procedure 3/4 frontier expansions and
-// Datalog rule matching) and threaded through every evaluator entry
-// point via ExecOptions.
+// Parallel execution utilities: a process-wide thread pool, the
+// deterministic SplitEven chunking and ParallelFor, threaded through
+// every evaluator entry point via ExecOptions.  The join and star
+// kernels of the plan executor and Procedure 4 do not call them
+// directly: they run as chunk bodies of ChunkRuns / GuardedKernel, next
+// to KernelResult in core/eval.h, whose serial case is a single chunk
+// run inline.  The reach index's emission, the splitter sort and
+// Datalog rule matching use ParallelFor themselves.
 //
-// Determinism contract: all helpers here produce results that are
-// independent of the thread count and of scheduling.  Work is split
-// into *chunks* whose boundaries depend only on (n, chunks) — never on
-// which worker ran what — and per-chunk output buffers are merged in
-// chunk order.  A kernel that partitions its input with SplitEven,
-// writes only into its chunk's buffer, and concatenates in order is
-// byte-identical for 1, 2, or any number of threads.
+// Determinism contract: work is split into *chunks* whose boundaries
+// depend only on (n, chunks) — never on which worker ran what — and
+// per-chunk output buffers are merged in chunk order.  A kernel that
+// partitions its input with SplitEven, writes only into its chunk's
+// buffer, and merges in order is byte-identical for 1, 2, or any
+// number of threads.
 //
 // Scheduling is dynamic (workers claim chunks from a shared counter),
 // so skewed chunks still load-balance; determinism is unaffected
@@ -127,37 +129,6 @@ void ParallelFor(size_t num_chunks, size_t threads,
 /// scheduling absorb skew (a chunk of hot Zipf keys finishing late)
 /// without hurting determinism.
 inline constexpr size_t kChunksPerThread = 4;
-
-/// The canonical parallel-map shape: splits [0, n) into even chunks and
-/// runs body(chunk_index, begin, end, &buffer) with a private output
-/// buffer per chunk.  Returns the buffers in chunk order.
-template <typename T, typename Body>
-std::vector<std::vector<T>> ParallelChunkedRuns(size_t n, size_t threads,
-                                                const Body& body) {
-  std::vector<ChunkRange> chunks =
-      SplitEven(n, threads > 1 ? threads * kChunksPerThread : 1);
-  std::vector<std::vector<T>> parts(chunks.size());
-  ParallelFor(chunks.size(), threads, [&](size_t c) {
-    body(c, chunks[c].begin, chunks[c].end, &parts[c]);
-  });
-  return parts;
-}
-
-/// ParallelChunkedRuns with the buffers concatenated in chunk order —
-/// the deterministic in-order merge the kernels rely on.
-template <typename T, typename Body>
-std::vector<T> ParallelChunkedCollect(size_t n, size_t threads,
-                                      const Body& body) {
-  std::vector<std::vector<T>> parts = ParallelChunkedRuns<T>(n, threads, body);
-  size_t total = 0;
-  for (const std::vector<T>& p : parts) total += p.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (std::vector<T>& p : parts) {
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
 
 }  // namespace trial
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/builder.h"
 #include "core/eval.h"
@@ -251,8 +253,9 @@ TEST(ParallelInvariance, LargeJoinOutputsAreThreadCountInvariant) {
   }
 }
 
-// The reachTA= fast paths under explicit thread counts, on a store big
-// enough that the parallel source-expansion branch does real chunking.
+// The reachTA= fast path the plan runs (Procedure 4) under explicit
+// thread counts, on a store big enough that its middle groups split
+// into real chunks.  (Procedure 3 is the serial oracle: no thread knob.)
 TEST(ParallelInvariance, ReachFastPathsAreThreadCountInvariant) {
   RandomStoreOptions opts;
   opts.num_objects = 80;
@@ -261,15 +264,11 @@ TEST(ParallelInvariance, ReachFastPathsAreThreadCountInvariant) {
   opts.seed = 5;
   TripleStore store = RandomTripleStore(opts);
   const TripleSet& base = *store.FindRelation("E");
-  ExecOptions serial;
-  TripleSet any1 = StarReachAnyPath(base, serial).value();
-  TripleSet mid1 = StarReachSameMiddle(base, serial).value();
+  TripleSet mid1 = StarReachSameMiddle(base).value();
   for (size_t threads : std::vector<size_t>{2, 4}) {
     ExecOptions exec;
     exec.num_threads = threads;
     exec.min_parallel_items = 1;
-    EXPECT_EQ(StarReachAnyPath(base, exec).value(), any1)
-        << threads << " threads";
     EXPECT_EQ(StarReachSameMiddle(base, exec).value(), mid1)
         << threads << " threads";
   }
@@ -290,8 +289,9 @@ TEST(EvalGuards, UniverseGuard) {
 }
 
 // The reach-star routes — the interval index for the any-path star
-// over a derived base, Procedure 4 for the same-middle one — honour the
-// result-size guard like every other operator, at every thread count.
+// over a derived base, Procedure 4 for the same-middle one — and the
+// kernels run by GuardedKernel honour the result-size guard at
+// every thread count.
 TEST(EvalGuards, ReachFastPathGuard) {
   TripleStore store;
   const char* chain[] = {"a", "b", "c", "d", "e", "f"};
@@ -319,6 +319,61 @@ TEST(EvalGuards, ReachFastPathGuard) {
       r = plan::ExecutePlan(*p, store, limits);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_EQ(r->size(), 15u);
+    }
+  }
+
+  // The join kernels and the generic fixpoint, on a random tree (one
+  // edge into every node), where a two-hop composition emits no
+  // duplicate rows: a join's pre-dedup count is its result size, so the
+  // guard must trip at size()-1 and pass at size().  A star's guard is
+  // its accumulator, which is its result.
+  TripleStore tree;
+  Rng rng(7);
+  for (int i = 1; i <= 3000; ++i) {
+    tree.Add("E", "n" + std::to_string(rng.Below(i)),
+             "p" + std::to_string(i % 8), "n" + std::to_string(i));
+  }
+  tree.Add("E", "z0", "x", "z1");
+  tree.RelationStats(0);
+  struct Case {
+    const char* text;
+    plan::PlanOp op;
+    const char* strategy;
+  };
+  const Case kernels[] = {
+      {"(sigma[1=\"n0\"](E) JOIN[1,2,3'; 3=1'] E)",
+       plan::PlanOp::kIndexProbeJoin, "probe"},
+      {"(sigma[2!=\"x\"](E) JOIN[1,2,3'; 3=1'] sigma[2!=\"x\"](E))",
+       plan::PlanOp::kHashJoin, "hash"},
+      {"(E JOIN[1,2,3'; 3=1'] E)", plan::PlanOp::kMergeJoin, "merge"},
+      {"(E JOIN[1,2',3'; 3=1'])*", plan::PlanOp::kFixpointStar, nullptr}};
+  for (const Case& c : kernels) {
+    Result<ExprPtr> e = ParseTriAL(c.text, &tree);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    plan::PlanPtr p = plan::PlanExpr(*e, tree);
+    ASSERT_EQ(p->op, c.op) << c.text;
+    Result<TripleSet> want = plan::ExecutePlan(*p, tree);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_GT(want->size(), 20u) << c.text;
+    if (c.strategy != nullptr) {
+      EXPECT_STREQ(p->runtime.strategy, c.strategy) << c.text;
+    }
+    for (size_t threads : std::vector<size_t>{1, 2, 4}) {
+      ExecLimits limits;
+      limits.exec.num_threads = threads;
+      limits.exec.min_parallel_items = 1;
+      limits.max_result_triples = want->size() - 1;
+      Result<TripleSet> r = plan::ExecutePlan(*p, tree, limits);
+      ASSERT_FALSE(r.ok()) << c.text << " at " << threads << " threads";
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+      limits.max_result_triples = want->size();
+      r = plan::ExecutePlan(*p, tree, limits);
+      ASSERT_TRUE(r.ok()) << c.text << " at " << threads << " threads: "
+                          << r.status().ToString();
+      EXPECT_EQ(*r, *want) << c.text << " at " << threads << " threads";
+      if (c.strategy != nullptr) {
+        EXPECT_STREQ(p->runtime.strategy, c.strategy) << c.text;
+      }
     }
   }
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/builder.h"
 #include "core/derived.h"
 #include "core/eval.h"
@@ -65,6 +67,39 @@ TEST(TriALParser, ReportsErrors) {
   EXPECT_FALSE(ParseTriAL("(E u E) trailing").ok());
   EXPECT_FALSE(ParseTriAL("sigma[1=1'](E)").ok());  // non-unary selection
   EXPECT_FALSE(ParseTriAL("").ok());
+}
+
+// (E u (E u ... (E u E)...)) with `levels` nested unions.
+std::string NestedUnion(size_t levels) {
+  std::string text;
+  for (size_t i = 0; i < levels; ++i) text += "(E u ";
+  return text + "E" + std::string(levels, ')');
+}
+
+// Nesting deeper than kMaxTriALNesting is an error status, not a stack
+// overflow in the parser or, after it, in lowering and evaluation; the
+// deepest accepted nesting still parses and evaluates.
+TEST(TriALParser, RejectsNestingDeeperThanTheCap) {
+  for (const std::string& text :
+       {std::string(50000, '(') + "E", NestedUnion(10000),
+        NestedUnion(kMaxTriALNesting + 1)}) {
+    Result<ExprPtr> e = ParseTriAL(text);
+    ASSERT_FALSE(e.ok()) << text.size() << " chars";
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::string sigmas;
+  for (size_t i = 0; i <= kMaxTriALNesting; ++i) sigmas += "sigma[1=2](";
+  sigmas += "E" + std::string(kMaxTriALNesting + 1, ')');
+  EXPECT_EQ(ParseTriAL(sigmas).status().code(), StatusCode::kInvalidArgument);
+
+  Result<ExprPtr> deepest = ParseTriAL(NestedUnion(kMaxTriALNesting));
+  ASSERT_TRUE(deepest.ok()) << deepest.status().ToString();
+  TripleStore store;
+  store.Add("E", "a", "b", "c");
+  store.Add("E", "c", "d", "e");
+  Result<TripleSet> r = MakeSmartEvaluator()->Eval(*deepest, store);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, *store.FindRelation("E"));
 }
 
 ExprPtr RandomExpr(Rng* rng, int depth) {

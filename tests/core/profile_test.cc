@@ -404,6 +404,30 @@ TEST(ActualRowsAudit, ProfiledRootCountAgreesWithRecordRootRows) {
   }
 }
 
+// A node's span covers the normalize that counting its rows forces: a
+// key-less join at one thread leaves its unsorted output (a million
+// candidates from two 1,000-triple inputs) to the lazy sort, which is
+// most of the query, so the root's cumulative time must be most of the
+// ExecutePlan call's wall time.
+TEST(SpanTrace, RootSpanCoversItsResultNormalization) {
+  RandomStoreOptions opts;
+  opts.num_objects = 400;
+  opts.num_triples = 1000;
+  opts.seed = 3;
+  TripleStore store = RandomTripleStore(opts);
+  ExprPtr e = Expr::Join(Expr::Rel("E"), Expr::Rel("E"),
+                         Spec(Pos::P1, Pos::P2, Pos::P3p, {}));
+  PlanPtr p = PlanExpr(e, store);
+  const uint64_t t0 = MonotonicNanos();
+  auto r = ExecutePlan(*p, store, {}, /*profile=*/true);
+  const uint64_t wall = MonotonicNanos() - t0;
+  ASSERT_TRUE(r.ok());
+  ASSERT_GT(r->size(), 100'000u);
+  const uint64_t cum = p->runtime.end_ns - p->runtime.start_ns;
+  EXPECT_GE(static_cast<double>(cum), 0.8 * static_cast<double>(wall))
+      << ExplainAnalyze(*p);
+}
+
 // Fixpoint profiling: rounds split into probe/hash is already recorded
 // by the unprofiled path; the profiled path adds the peak accumulator
 // size, which is at least the final result.

@@ -1,13 +1,18 @@
 // The parallel execution layer: deterministic chunking, the global
-// thread pool, and the in-order collect helper the query kernels build
-// on (see src/util/parallel.h for the determinism contract).
+// thread pool, and the chunk runner the query kernels are built on
+// (see src/util/parallel.h for the determinism contract and
+// ChunkRuns / GuardedKernel in src/core/eval.h).
 
 #include "util/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
+
+#include "core/eval.h"
+#include "storage/triple_sort.h"
 
 namespace trial {
 namespace {
@@ -74,19 +79,77 @@ TEST(ThreadPoolTest, GlobalPoolIsReusableAcrossRuns) {
   EXPECT_EQ(sum.load(), 50u * (15 * 16 / 2));
 }
 
-TEST(ParallelChunkedCollectTest, MergeOrderIsThreadCountInvariant) {
+ExecOptions Threads(size_t threads) {
+  ExecOptions exec;
+  exec.num_threads = threads;
+  exec.min_parallel_items = 1;
+  return exec;
+}
+
+// Emits (i, i, i) for every i of its chunk.
+void EmitIndices(ChunkRange c, std::vector<Triple>* out) {
+  for (size_t i = c.begin; i < c.end; ++i) {
+    ObjId v = static_cast<ObjId>(i);
+    out->push_back(Triple{v, v, v});
+  }
+}
+
+TEST(ChunkRunsTest, RunsComeBackInChunkOrderAtEveryThreadCount) {
   const size_t n = 10007;
-  auto body = [](size_t, size_t begin, size_t end, std::vector<int>* out) {
-    for (size_t i = begin; i < end; ++i) {
-      out->push_back(static_cast<int>(i * 3));
+  auto split = [&](size_t k) { return SplitEven(n, k); };
+  for (size_t threads : std::vector<size_t>{1, 2, 4, 16}) {
+    std::vector<std::vector<Triple>> runs =
+        ChunkRuns(n, Threads(threads), split, EmitIndices);
+    EXPECT_EQ(runs.size(), threads == 1 ? 1 : threads * kChunksPerThread);
+    std::vector<Triple> all = Concatenate(std::move(runs));
+    ASSERT_EQ(all.size(), n) << "threads=" << threads;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(all[i].s, i) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ChunkRunsTest, SerialWorkRunsInlineOnTheCallingThread) {
+  // Below min_parallel_items, and at one thread, there is one chunk and
+  // it runs on the caller, not on a pool worker.
+  ExecOptions small = Threads(4);
+  small.min_parallel_items = 100;
+  for (const ExecOptions& exec : {Threads(1), small}) {
+    std::thread::id ran_on;
+    std::vector<std::vector<Triple>> runs = ChunkRuns(
+        50, exec, [](size_t k) { return SplitEven(50, k); },
+        [&](ChunkRange c, std::vector<Triple>* out) {
+          ran_on = std::this_thread::get_id();
+          EmitIndices(c, out);
+        });
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].size(), 50u);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+  }
+}
+
+TEST(GuardedKernelTest, ExhaustsExactlyAboveTheLimitAtEveryThreadCount) {
+  // Three times the guard stride, so the chunks flush mid-run.
+  const size_t n = 3 * kGuardStride + 5;
+  auto split = [&](size_t k) { return SplitEven(n, k); };
+  auto body = [](ChunkRange c, std::vector<Triple>* out, ChunkGuard& guard) {
+    for (size_t i = c.begin; i < c.end; ++i) {
+      ObjId v = static_cast<ObjId>(i);
+      out->push_back(Triple{v, v, v});
+      if (!guard(out->size())) return;
     }
   };
-  std::vector<int> serial = ParallelChunkedCollect<int>(n, 1, body);
-  ASSERT_EQ(serial.size(), n);
-  EXPECT_EQ(serial[5], 15);
-  for (size_t threads : std::vector<size_t>{2, 4, 16}) {
-    EXPECT_EQ(ParallelChunkedCollect<int>(n, threads, body), serial)
-        << "threads=" << threads;
+  for (size_t threads : std::vector<size_t>{1, 2, 4}) {
+    Result<TripleSet> over =
+        GuardedKernel(n, Threads(threads), n - 1, "too large", split, body);
+    ASSERT_FALSE(over.ok()) << "threads=" << threads;
+    EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+    Result<TripleSet> fits =
+        GuardedKernel(n, Threads(threads), n, "too large", split, body);
+    ASSERT_TRUE(fits.ok()) << "threads=" << threads;
+    EXPECT_EQ(fits->size(), n);
+    EXPECT_EQ(fits->triples().front().s, 0u);
+    EXPECT_EQ(fits->triples().back().s, n - 1);
   }
 }
 
